@@ -6,8 +6,14 @@ to stdout as text (default), JSON (--json, schema_version 1, exact
 rationals rendered as "numerator/denominator" strings) or CSV (--csv,
 floats with 15 significant digits).  Warnings and errors go to stderr.
 
+Each subcommand is one _Command spec: its arguments, its JSON params keys,
+one call into the library with the sequence's shared RankCache, and a text
+template.  The call returns a result dict that keeps exact values typed;
+JSON, CSV and text are all rendered from it by _emit.
+
 Exit codes: 0 success, 2 usage error, 3 domain error (rank undefined,
-non-member where a member is required), 4 overflow / out of range.
+non-member where a member is required), 4 overflow / out of range,
+including a size flag (--depth, --limit, --pbound) above its library cap.
 """
 
 import argparse
@@ -15,7 +21,10 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import asdict
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import oracle
 from .arith import OutOfRangeError
@@ -25,13 +34,11 @@ from .density import (
     density_series,
     heilbronn_lower_bound,
     inclusion_exclusion_check,
-    is_member,
     lk_generators,
-    lucas_density_series,
     lucas_is_member,
 )
-from .fib import FIBONACCI, LucasParams
-from .rank import RankUndefinedError, default_cache, lucas_rank, rank
+from .fib import LucasParams
+from .rank import RankUndefinedError, default_cache, lucas_rank
 
 SCHEMA_VERSION = "1"
 
@@ -68,8 +75,250 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _f15(x) -> str:
-    return format(float(x), ".15g")
+class _Command(NamedTuple):
+    help: str
+    args: tuple  # (name, add_argument keywords) pairs
+    params: tuple  # argument names echoed as JSON params, in order; None is left out
+    run: Callable  # (args, cache, threads) -> result dict
+    text: Callable  # result with fractions as "n/d" strings -> text output
+    csv: tuple  # CSV header: result keys, or keys of csv_rows' rows
+    csv_rows: Callable | None = None  # result -> CSV rows; default: result["rows"], else [result]
+    warnings: tuple = ()
+
+
+_K = ("k", {"type": _positive})
+_LIMIT = ("--limit", {"type": _positive, "required": True})
+_CHECKPOINTS = ("--checkpoints", {"type": _positive, "nargs": "+", "default": None})
+_DEPTH = ("--depth", {"type": _positive, "default": DEFAULT_DEPTH})
+
+
+def _series_command(help_, series):
+    """The spec of a subcommand that prints one truncated density series."""
+
+    def run(a, cache, threads):
+        s = series(a.k, a.depth, cache, threads)
+        return {
+            "k": s.k,
+            "depth": s.depth,
+            "partial_sum": s.partial_sum,
+            "float_value": s.float_value,
+            "tail_window": s.tail_window,
+            "tail_window_float": float(s.tail_window),
+        }
+
+    return _Command(
+        help_,
+        (_K, _DEPTH),
+        ("k", "depth"),
+        run,
+        lambda r: (
+            f"k = {r['k']}: partial_sum = {r['partial_sum']} ~ {r['float_value']:.15g} "
+            f"(depth {r['depth']}, tail window ~ {r['tail_window_float']:.3g})"
+        ),
+        ("k", "depth", "partial_sum", "tail_window"),
+        warnings=(TAIL_WARNING,),
+    )
+
+
+def _member(a, cache, threads):
+    v = lucas_is_member(cache.seq, a.k, cache)
+    return {"k": v.k, "ell": v.ell_k, "gcd": v.g, "member": v.member}
+
+
+def _iecheck(a, cache, threads):
+    lhs, rhs, gap = inclusion_exclusion_check(a.k, a.depth, cache, threads)
+    return {"k": a.k, "depth": a.depth, "lhs": lhs, "rhs": rhs, "gap": gap, "exact_zero": gap == 0}
+
+
+def _count(a, cache, threads):
+    reports = oracle.count_Ak(a.k, a.limit, a.checkpoints, witness_cap=a.witnesses, seq=cache.seq, threads=threads)
+    return {
+        "k": a.k,
+        "reports": [
+            {"x": r.x, "count": r.count, "ratio": r.ratio}
+            | ({"witnesses": list(r.witnesses)} if r.witnesses is not None else {})
+            for r in reports
+        ],
+    }
+
+
+def _count_text(r):
+    lines = []
+    for rep in r["reports"]:
+        line = f"#A_{r['k']}({rep['x']}) = {rep['count']} (ratio {rep['ratio']:.6g})"
+        if "witnesses" in rep:
+            line += f"; witnesses {rep['witnesses']}"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def _scan_b(a, cache, threads):
+    rows, unknown = oracle.scan_B(a.limit, a.checkpoints, cache, threads)
+    return {
+        "rows": [
+            {"x": r.x, "count": r.count, "ratio": r.ratio, "ratio_logx": r.count * math.log(r.x) / r.x} for r in rows
+        ],
+        "unknown": unknown,
+    }
+
+
+def _scan_b_text(r):
+    lines = [
+        f"#B({row['x']}) = {row['count']} (ratio {row['ratio']:.6g}, ratio*log(x) {row['ratio_logx']:.6g})"
+        for row in r["rows"]
+    ]
+    if r["unknown"]:
+        lines.append(f"unknown (ell out of range): {r['unknown']}")
+    return "\n".join(lines)
+
+
+def _ellsum(a, cache, threads):
+    total = oracle.partial_ell_sum(a.limit, cache)
+    return {"limit": a.limit, "sum": total, "float_value": float(total)}
+
+
+def _nonmult(a, cache, threads):
+    gens = lk_generators(a.k, a.pbound, cache)
+    measured = oracle.nonmultiple_density(gens, a.limit)
+    bound = heilbronn_lower_bound(gens)
+    return {
+        "k": a.k,
+        "pbound": a.pbound,
+        "limit": a.limit,
+        "generators": len(gens.elements()),
+        "density": measured,
+        "density_float": float(measured),
+        "heilbronn": bound,
+        "heilbronn_float": float(bound),
+    }
+
+
+def _witnesses(a, cache, threads):
+    report = oracle.count_Ak(a.k, a.limit, witness_cap=a.max, seq=cache.seq, threads=threads)[-1]
+    return {"k": a.k, "limit": a.limit, "witnesses": list(report.witnesses)}
+
+
+_COMMANDS = {
+    "rank": _Command(
+        "rank of appearance z(M) and ell(M)",
+        (("m", {"type": _positive}),),
+        ("m",),
+        lambda a, cache, threads: asdict(lucas_rank(cache.seq, a.m, cache)),
+        lambda r: f"z({r['m']}) = {r['z']}, ell({r['m']}) = {r['ell']}",
+        ("m", "z", "ell"),
+    ),
+    "ell": _Command(
+        "ell(M) = lcm(M, z(M))",
+        (("m", {"type": _positive}),),
+        ("m",),
+        lambda a, cache, threads: {"m": a.m, "ell": lucas_rank(cache.seq, a.m, cache).ell},
+        lambda r: f"ell({r['m']}) = {r['ell']}",
+        ("m", "ell"),
+    ),
+    "member": _Command(
+        "decide whether A_K is nonempty",
+        (_K,),
+        ("k",),
+        _member,
+        lambda r: (
+            f"k = {r['k']}: member = {'yes' if r['member'] else 'no'} (ell = {r['ell']}, gcd = {r['gcd']})"
+        ),
+        ("k", "ell", "gcd", "member"),
+    ),
+    "density": _series_command("truncated density series of A_K", density_series),
+    "density-b": _series_command("truncated density series of B_K (d coprime to K)", density_bk_series),
+    "iecheck": _Command(
+        "inclusion-exclusion identity check on aligned support",
+        (_K, _DEPTH),
+        ("k", "depth"),
+        _iecheck,
+        lambda r: (
+            f"k = {r['k']}: lhs = {r['lhs']}, rhs = {r['rhs']}, "
+            f"gap = {r['gap']} ({'exactly zero' if r['exact_zero'] else 'NONZERO'})"
+        ),
+        ("k", "depth", "lhs", "rhs", "gap"),
+    ),
+    "count": _Command(
+        "#A_K(x) by direct enumeration",
+        (
+            _K,
+            _LIMIT,
+            _CHECKPOINTS,
+            ("--witnesses", {"type": _nonnegative, "default": 0, "help": "include the first W witnesses"}),
+        ),
+        ("k", "limit", "checkpoints"),
+        _count,
+        _count_text,
+        ("k", "x", "count", "ratio"),
+        csv_rows=lambda r: [{"k": r["k"], **rep} for rep in r["reports"]],
+    ),
+    "verify-structure": _Command(
+        "check A_K = ell(K) * nonmultiples(L_K)",
+        (_K, _LIMIT),
+        ("k", "limit"),
+        lambda a, cache, threads: {
+            "k": a.k, "limit": a.limit, "verified": oracle.verify_structure(a.k, a.limit, cache)
+        },
+        lambda r: (
+            f"k = {r['k']}: structural decomposition {'verified' if r['verified'] else 'FAILED'} up to {r['limit']}"
+        ),
+        ("k", "limit", "verified"),
+    ),
+    "scan-b": _Command(
+        "#B(x) = #{k <= x : A_k nonempty}",
+        (_LIMIT, _CHECKPOINTS),
+        ("limit", "checkpoints"),
+        _scan_b,
+        _scan_b_text,
+        ("x", "count", "ratio", "ratio_logx"),
+    ),
+    "lowrank": _Command(
+        "primes with z(p) <= p^gamma",
+        (("--gamma", {"type": _gamma, "required": True, "metavar": "A/Q"}), _LIMIT, _CHECKPOINTS),
+        ("gamma", "limit", "checkpoints"),
+        lambda a, cache, threads: {
+            "rows": [asdict(r) for r in oracle.scan_low_rank_primes(a.gamma, a.limit, a.checkpoints, cache)]
+        },
+        lambda r: "\n".join(
+            f"#Q({row['x']}) = {row['count']} (count/x^(2 gamma) = {row['ratio']:.6g})" for row in r["rows"]
+        ),
+        ("x", "count", "ratio"),
+    ),
+    "ellsum": _Command(
+        "partial sum of 1/ell(n)",
+        (_LIMIT,),
+        ("limit",),
+        _ellsum,
+        lambda r: f"sum 1/ell(n), n <= {r['limit']}: {r['sum']} ~ {r['float_value']:.15g}",
+        ("limit", "sum"),
+    ),
+    "nonmult": _Command(
+        "density of nonmultiples of L_K vs Heilbronn bound",
+        (_K, ("--pbound", {"type": _positive, "required": True}), _LIMIT),
+        ("k", "pbound", "limit"),
+        _nonmult,
+        lambda r: (
+            f"k = {r['k']}: measured density {r['density_float']:.6g}, "
+            f"Heilbronn bound {r['heilbronn_float']:.6g} "
+            f"({r['generators']} distinct generators, p <= {r['pbound']})"
+        ),
+        ("k", "pbound", "limit", "density", "heilbronn"),
+        warnings=(HEILBRONN_WARNING,),
+    ),
+    "witnesses": _Command(
+        "first elements of A_K",
+        (
+            _K,
+            ("--max", {"type": _positive, "default": 10, "metavar": "MAX_WITNESSES"}),
+            ("--limit", {"type": _positive, "default": 10**6}),
+        ),
+        ("k", "max", "limit"),
+        _witnesses,
+        lambda r: f"A_{r['k']} up to {r['limit']}: {r['witnesses']}",
+        ("k", "n"),
+        csv_rows=lambda r: [{"k": r["k"], "n": n} for n in r["witnesses"]],
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,301 +335,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="fibrank", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rank", parents=[common], help="rank of appearance z(M) and ell(M)")
-    p.add_argument("m", type=_positive)
-
-    p = sub.add_parser("ell", parents=[common], help="ell(M) = lcm(M, z(M))")
-    p.add_argument("m", type=_positive)
-
-    p = sub.add_parser("member", parents=[common], help="decide whether A_K is nonempty")
-    p.add_argument("k", type=_positive)
-
-    for name, help_ in (
-        ("density", "truncated density series of A_K"),
-        ("density-b", "truncated density series of B_K (d coprime to K)"),
-        ("iecheck", "inclusion-exclusion identity check on aligned support"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=help_)
-        p.add_argument("k", type=_positive)
-        p.add_argument("--depth", type=_positive, default=DEFAULT_DEPTH)
-
-    p = sub.add_parser("count", parents=[common], help="#A_K(x) by direct enumeration")
-    p.add_argument("k", type=_positive)
-    p.add_argument("--limit", type=_positive, required=True)
-    p.add_argument("--checkpoints", type=_positive, nargs="+", default=None)
-    p.add_argument("--witnesses", type=_nonnegative, default=0, help="include the first W witnesses")
-
-    p = sub.add_parser("verify-structure", parents=[common], help="check A_K = ell(K) * nonmultiples(L_K)")
-    p.add_argument("k", type=_positive)
-    p.add_argument("--limit", type=_positive, required=True)
-
-    p = sub.add_parser("scan-b", parents=[common], help="#B(x) = #{k <= x : A_k nonempty}")
-    p.add_argument("--limit", type=_positive, required=True)
-    p.add_argument("--checkpoints", type=_positive, nargs="+", default=None)
-
-    p = sub.add_parser("lowrank", parents=[common], help="primes with z(p) <= p^gamma")
-    p.add_argument("--gamma", type=_gamma, required=True, metavar="A/Q")
-    p.add_argument("--limit", type=_positive, required=True)
-    p.add_argument("--checkpoints", type=_positive, nargs="+", default=None)
-
-    p = sub.add_parser("ellsum", parents=[common], help="partial sum of 1/ell(n)")
-    p.add_argument("--limit", type=_positive, required=True)
-
-    p = sub.add_parser("nonmult", parents=[common], help="density of nonmultiples of L_K vs Heilbronn bound")
-    p.add_argument("k", type=_positive)
-    p.add_argument("--pbound", type=_positive, required=True)
-    p.add_argument("--limit", type=_positive, required=True)
-
-    p = sub.add_parser("witnesses", parents=[common], help="first elements of A_K")
-    p.add_argument("k", type=_positive)
-    p.add_argument("--max", type=_positive, default=10, dest="max_witnesses")
-    p.add_argument("--limit", type=_positive, default=10**6)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for arg, options in command.args:
+            p.add_argument(arg, **options)
     return parser
-
-
-def _resolve_threads(args) -> int:
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("FIBRANK_THREADS")
-        threads = int(env) if env else 1
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return threads
-
-
-def _seq(args) -> LucasParams:
-    if args.a1 == 1 and args.a2 == 1:
-        return FIBONACCI
-    return LucasParams(args.a1, args.a2)
-
-
-def _series_payload(s, warnings):
-    return (
-        {
-            "k": s.k,
-            "depth": s.depth,
-            "partial_sum": _frac_str(s.partial_sum),
-            "float_value": s.float_value,
-            "tail_window": _frac_str(s.tail_window),
-            "tail_window_float": float(s.tail_window),
-        },
-        warnings,
-        (
-            ["k", "depth", "partial_sum", "tail_window"],
-            [{"k": s.k, "depth": s.depth, "partial_sum": _f15(s.partial_sum), "tail_window": _f15(s.tail_window)}],
-        ),
-    )
 
 
 def _dispatch(args):
     """Run one subcommand.  Returns (params, result, warnings, csv_table)."""
-    seq = _seq(args)
-    threads = _resolve_threads(args)
-    cache = default_cache(seq)
-    fibonacci = seq.is_fibonacci
+    command = _COMMANDS[args.command]
+    seq = LucasParams(args.a1, args.a2)
+    threads = args.threads if args.threads is not None else int(os.environ.get("FIBRANK_THREADS") or 1)
+    if getattr(args, "checkpoints", None):
+        args.checkpoints = sorted(set(args.checkpoints))
     params = {"a1": seq.a1, "a2": seq.a2}
-    cmd = args.command
-
-    if cmd == "rank":
-        params["m"] = args.m
-        rec = rank(args.m, cache) if fibonacci else lucas_rank(seq, args.m, cache)
-        result = {"m": rec.m, "z": rec.z, "ell": rec.ell}
-        return params, result, [], (["m", "z", "ell"], [result])
-
-    if cmd == "ell":
-        params["m"] = args.m
-        rec = rank(args.m, cache) if fibonacci else lucas_rank(seq, args.m, cache)
-        result = {"m": rec.m, "ell": rec.ell}
-        return params, result, [], (["m", "ell"], [result])
-
-    if cmd == "member":
-        params["k"] = args.k
-        v = is_member(args.k, cache) if fibonacci else lucas_is_member(seq, args.k, cache)
-        result = {"k": v.k, "ell": v.ell_k, "gcd": v.g, "member": v.member}
-        return params, result, [], (["k", "ell", "gcd", "member"], [result])
-
-    if cmd in ("density", "density-b"):
-        params.update(k=args.k, depth=args.depth)
-        if cmd == "density":
-            s = (
-                density_series(args.k, args.depth, cache, threads)
-                if fibonacci
-                else lucas_density_series(seq, args.k, args.depth, cache, threads)
-            )
-        else:
-            s = density_bk_series(args.k, args.depth, cache, threads)
-        result, warnings, table = _series_payload(s, [TAIL_WARNING])
-        return params, result, warnings, table
-
-    if cmd == "iecheck":
-        params.update(k=args.k, depth=args.depth)
-        lhs, rhs, gap = inclusion_exclusion_check(args.k, args.depth, cache, threads)
-        result = {
-            "k": args.k,
-            "depth": args.depth,
-            "lhs": _frac_str(lhs),
-            "rhs": _frac_str(rhs),
-            "gap": _frac_str(gap),
-            "exact_zero": gap == 0,
-        }
-        rows = [{"k": args.k, "depth": args.depth, "lhs": _f15(lhs), "rhs": _f15(rhs), "gap": _f15(gap)}]
-        return params, result, [], (["k", "depth", "lhs", "rhs", "gap"], rows)
-
-    if cmd == "count":
-        params.update(k=args.k, limit=args.limit)
-        if args.checkpoints:
-            params["checkpoints"] = sorted(set(args.checkpoints))
-        reports = oracle.count_Ak(
-            args.k, args.limit, args.checkpoints, witness_cap=args.witnesses, seq=seq, threads=threads
-        )
-        rows = [{"k": r.k, "x": r.x, "count": r.count, "ratio": _f15(r.ratio)} for r in reports]
-        result = {
-            "k": args.k,
-            "reports": [
-                {"x": r.x, "count": r.count, "ratio": r.ratio}
-                | ({"witnesses": list(r.witnesses)} if r.witnesses is not None else {})
-                for r in reports
-            ],
-        }
-        return params, result, [], (["k", "x", "count", "ratio"], rows)
-
-    if cmd == "verify-structure":
-        params.update(k=args.k, limit=args.limit)
-        ok = oracle.verify_structure(args.k, args.limit, cache)
-        result = {"k": args.k, "limit": args.limit, "verified": ok}
-        return params, result, [], (["k", "limit", "verified"], [result])
-
-    if cmd == "scan-b":
-        params["limit"] = args.limit
-        if args.checkpoints:
-            params["checkpoints"] = sorted(set(args.checkpoints))
-        rows_, unknown = oracle.scan_B(args.limit, args.checkpoints, cache, threads)
-        rows = [
-            {"x": r.x, "count": r.count, "ratio": _f15(r.ratio), "ratio_logx": _f15(r.count * math.log(r.x) / r.x)}
-            for r in rows_
-        ]
-        result = {
-            "rows": [
-                {"x": r.x, "count": r.count, "ratio": r.ratio, "ratio_logx": r.count * math.log(r.x) / r.x}
-                for r in rows_
-            ],
-            "unknown": unknown,
-        }
-        return params, result, [], (["x", "count", "ratio", "ratio_logx"], rows)
-
-    if cmd == "lowrank":
-        params.update(gamma=_frac_str(args.gamma), limit=args.limit)
-        if args.checkpoints:
-            params["checkpoints"] = sorted(set(args.checkpoints))
-        rows_ = oracle.scan_low_rank_primes(args.gamma, args.limit, args.checkpoints, cache)
-        rows = [{"x": r.x, "count": r.count, "ratio": _f15(r.ratio)} for r in rows_]
-        result = {"rows": [{"x": r.x, "count": r.count, "ratio": r.ratio} for r in rows_]}
-        return params, result, [], (["x", "count", "ratio"], rows)
-
-    if cmd == "ellsum":
-        params["limit"] = args.limit
-        total = oracle.partial_ell_sum(args.limit, cache)
-        result = {"limit": args.limit, "sum": _frac_str(total), "float_value": float(total)}
-        rows = [{"limit": args.limit, "sum": _f15(total)}]
-        return params, result, [], (["limit", "sum"], rows)
-
-    if cmd == "nonmult":
-        params.update(k=args.k, pbound=args.pbound, limit=args.limit)
-        gens = lk_generators(args.k, args.pbound, cache)
-        measured = oracle.nonmultiple_density(gens, args.limit)
-        bound = heilbronn_lower_bound(gens)
-        result = {
-            "k": args.k,
-            "pbound": args.pbound,
-            "limit": args.limit,
-            "generators": len(gens.elements()),
-            "density": _frac_str(measured),
-            "density_float": float(measured),
-            "heilbronn": _frac_str(bound),
-            "heilbronn_float": float(bound),
-        }
-        rows = [
-            {
-                "k": args.k,
-                "pbound": args.pbound,
-                "limit": args.limit,
-                "density": _f15(measured),
-                "heilbronn": _f15(bound),
-            }
-        ]
-        return params, result, [HEILBRONN_WARNING], (["k", "pbound", "limit", "density", "heilbronn"], rows)
-
-    if cmd == "witnesses":
-        params.update(k=args.k, max=args.max_witnesses, limit=args.limit)
-        report = oracle.count_Ak(
-            args.k, args.limit, witness_cap=args.max_witnesses, seq=seq, threads=threads
-        )[-1]
-        result = {"k": args.k, "limit": args.limit, "witnesses": list(report.witnesses)}
-        rows = [{"k": args.k, "n": n} for n in report.witnesses]
-        return params, result, [], (["k", "n"], rows)
-
-    raise ValueError(f"unknown command {cmd}")  # pragma: no cover
+    params.update((key, getattr(args, key)) for key in command.params if getattr(args, key) is not None)
+    result = command.run(args, default_cache(seq), threads)
+    rows = command.csv_rows(result) if command.csv_rows else result.get("rows", [result])
+    return params, result, list(command.warnings), (command.csv, rows)
 
 
-def _render_text(cmd, result):
-    if cmd == "rank":
-        return f"z({result['m']}) = {result['z']}, ell({result['m']}) = {result['ell']}"
-    if cmd == "ell":
-        return f"ell({result['m']}) = {result['ell']}"
-    if cmd == "member":
-        return (
-            f"k = {result['k']}: member = {'yes' if result['member'] else 'no'} "
-            f"(ell = {result['ell']}, gcd = {result['gcd']})"
-        )
-    if cmd in ("density", "density-b"):
-        return (
-            f"k = {result['k']}: partial_sum = {result['partial_sum']} "
-            f"~ {result['float_value']:.15g} (depth {result['depth']}, "
-            f"tail window ~ {result['tail_window_float']:.3g})"
-        )
-    if cmd == "iecheck":
-        return (
-            f"k = {result['k']}: lhs = {result['lhs']}, rhs = {result['rhs']}, "
-            f"gap = {result['gap']} ({'exactly zero' if result['exact_zero'] else 'NONZERO'})"
-        )
-    if cmd == "count":
-        lines = []
-        for r in result["reports"]:
-            line = f"#A_{result['k']}({r['x']}) = {r['count']} (ratio {r['ratio']:.6g})"
-            if "witnesses" in r:
-                line += f"; witnesses {r['witnesses']}"
-            lines.append(line)
-        return "\n".join(lines)
-    if cmd == "verify-structure":
-        return f"k = {result['k']}: structural decomposition {'verified' if result['verified'] else 'FAILED'} up to {result['limit']}"
-    if cmd == "scan-b":
-        lines = [
-            f"#B({r['x']}) = {r['count']} (ratio {r['ratio']:.6g}, ratio*log(x) {r['ratio_logx']:.6g})"
-            for r in result["rows"]
-        ]
-        if result["unknown"]:
-            lines.append(f"unknown (ell out of range): {result['unknown']}")
-        return "\n".join(lines)
-    if cmd == "lowrank":
-        return "\n".join(
-            f"#Q({r['x']}) = {r['count']} (count/x^(2 gamma) = {r['ratio']:.6g})" for r in result["rows"]
-        )
-    if cmd == "ellsum":
-        return f"sum 1/ell(n), n <= {result['limit']}: {result['sum']} ~ {result['float_value']:.15g}"
-    if cmd == "nonmult":
-        return (
-            f"k = {result['k']}: measured density {result['density_float']:.6g}, "
-            f"Heilbronn bound {result['heilbronn_float']:.6g} "
-            f"({result['generators']} distinct generators, p <= {result['pbound']})"
-        )
-    if cmd == "witnesses":
-        return f"A_{result['k']} up to {result['limit']}: {result['witnesses']}"
-    raise ValueError(f"unknown command {cmd}")  # pragma: no cover
+def _csv_cell(value) -> str:
+    return format(float(value), ".15g") if isinstance(value, (Fraction, float)) else str(value)
 
 
 def _emit(cmd, params, result, warnings, table, fmt):
+    """Print a result: exact fractions become "n/d" in JSON and text, and
+    fractions and floats become 15 significant digits in CSV."""
     if fmt == "json":
         record = {
             "schema_version": SCHEMA_VERSION,
@@ -389,7 +371,8 @@ def _emit(cmd, params, result, warnings, table, fmt):
             "result": result,
             "warnings": warnings,
         }
-        print(json.dumps(record, separators=(",", ":")))
+        # Fraction is the only type in a record that JSON lacks
+        print(json.dumps(record, separators=(",", ":"), default=_frac_str))
         return
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -398,9 +381,9 @@ def _emit(cmd, params, result, warnings, table, fmt):
         print(f"# fibrank schema_version={SCHEMA_VERSION} command={cmd}")
         print(",".join(header))
         for row in rows:
-            print(",".join(str(row[h]) for h in header))
+            print(",".join(_csv_cell(row[h]) for h in header))
         return
-    print(_render_text(cmd, result))
+    print(_COMMANDS[cmd].text({k: _frac_str(v) if isinstance(v, Fraction) else v for k, v in result.items()}))
 
 
 def main(argv=None) -> int:

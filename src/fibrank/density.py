@@ -15,11 +15,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith, rank as rank_mod
+from .arith import OutOfRangeError
 from .fib import FIBONACCI, LucasParams
-from .rank import RankCache, RankUndefinedError
+from .rank import RankCache, RankUndefinedError, _resolve
 
 # below this many terms a thread pool costs more than it saves
 _PARALLEL_MIN_TERMS = 4096
+
+# the sieve behind a depth-D series holds two 4D-entry lists (about 75 MB
+# at D = 10^6), and a generator bound B costs one sieve entry and one rank
+# per integer or prime up to B
+SERIES_DEPTH_CAP = 10**6
+GENERATOR_BOUND_CAP = 10**6
 
 
 class NonMemberError(ValueError):
@@ -91,14 +98,6 @@ class GeneratorSet:
         return sorted(set(self.prime_part) | {r for _, r in self.ratio_part})
 
 
-def _resolve(cache: RankCache | None) -> RankCache:
-    return cache if cache is not None else rank_mod.default_cache()
-
-
-def _prime_fn(cache: RankCache):
-    return rank_mod._cache_prime_fn(cache)
-
-
 def _require_rank_defined(cache: RankCache, k: int):
     a2 = cache.seq.a2
     if math.gcd(k, a2) != 1:
@@ -125,6 +124,24 @@ def _exact_sum(fractions) -> Fraction:
     return total
 
 
+def _worker_count(threads: int, jobs: int) -> int:
+    """How many threads run `jobs` independent jobs: threads = 0 asks for
+    one per CPU, and there are never more threads than CPUs or jobs."""
+    if threads < 0:
+        raise ValueError(f"need threads >= 0, got {threads}")
+    cpus = os.cpu_count() or 1
+    return max(1, min(threads or cpus, cpus, jobs))
+
+
+def _map_spans(fn, spans: list, threads: int) -> list:
+    """[fn(span) for span in spans], spread over _worker_count threads."""
+    workers = _worker_count(threads, len(spans))
+    if workers == 1:
+        return [fn(span) for span in spans]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, spans))
+
+
 def _parallel_sum(lo: int, hi: int, threads: int, term_range) -> Fraction:
     """Exact sum of term_range(a, b) over [lo, hi], optionally range-partitioned.
 
@@ -133,17 +150,14 @@ def _parallel_sum(lo: int, hi: int, threads: int, term_range) -> Fraction:
     """
     if hi < lo:
         return Fraction(0)
-    if threads < 1:
-        threads = os.cpu_count() or 1
-    if threads == 1 or hi - lo + 1 < _PARALLEL_MIN_TERMS:
+    terms = hi - lo + 1
+    workers = _worker_count(threads, terms)
+    if workers == 1 or terms < _PARALLEL_MIN_TERMS:
         return _exact_sum(term_range(lo, hi))
-    n_chunks = min(threads * 4, hi - lo + 1)
-    step = (hi - lo + 1 + n_chunks - 1) // n_chunks
+    step = -(-terms // (workers * 4))
     spans = [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda span: _exact_sum(term_range(*span)), spans))
     total = Fraction(0)
-    for part in parts:
+    for part in _map_spans(lambda span: _exact_sum(term_range(*span)), spans, workers):
         total += part
     return total
 
@@ -155,21 +169,20 @@ class _EllOfDK:
     cached z(p^(e+1)) replaces z(p^e); new primes of d contribute z(p).
     """
 
-    __slots__ = ("cache", "k", "spf", "prime_fn", "k_exp", "z_plain", "z_bump", "z_k")
+    __slots__ = ("cache", "k", "spf", "k_exp", "z_plain", "z_bump", "z_k")
 
     def __init__(self, cache: RankCache, k: int, spf: list[int]):
         self.cache = cache
         self.k = k
         self.spf = spf
-        self.prime_fn = _prime_fn(cache)
         self.k_exp = {pp.p: pp.e for pp in arith.factor(k).factors}
         self.z_plain = {}
         self.z_bump = {}
         z_k = 1
         for p, e in self.k_exp.items():
-            zp = rank_mod._prime_power_rank(cache, p, e, self.prime_fn)
+            zp = rank_mod._prime_power_rank(cache, p, e)
             self.z_plain[p] = zp
-            self.z_bump[p] = rank_mod._prime_power_rank(cache, p, e + 1, self.prime_fn)
+            self.z_bump[p] = rank_mod._prime_power_rank(cache, p, e + 1)
             z_k = math.lcm(z_k, zp)
         self.z_k = z_k
 
@@ -184,7 +197,7 @@ class _EllOfDK:
             if p in self.k_exp:
                 bumped = (p,) if bumped is None else bumped + (p,)
             else:
-                z = lcm(z, self.prime_fn(self.cache, p))
+                z = lcm(z, self.cache._prime_rank(p))
         if bumped is None:
             z = lcm(z, self.z_k)
         else:
@@ -198,6 +211,8 @@ def _series(cache: RankCache, k: int, depth: int, *, coprime_to_k: bool, threads
         raise ValueError(f"need k >= 1, got {k}")
     if depth < 1:
         raise ValueError(f"need depth >= 1, got {depth}")
+    if depth > SERIES_DEPTH_CAP:
+        raise OutOfRangeError(f"series depth {depth} above cap {SERIES_DEPTH_CAP}")
     _require_rank_defined(cache, k)
     a2 = cache.seq.a2
     mu, spf = arith.mobius_spf_sieve(4 * depth)
@@ -236,7 +251,7 @@ def is_member(k: int, cache: RankCache | None = None) -> MembershipVerdict:
         raise ValueError(f"need k >= 1, got {k}")
     cache = _resolve(cache)
     _require_rank_defined(cache, k)
-    rec = rank_mod._rank_with(cache, k, _prime_fn(cache))
+    rec = rank_mod._rank_with(cache, k)
     g = math.gcd(rec.ell, cache.pair_mod(rec.ell, rec.ell)[0])
     return MembershipVerdict(k, rec.ell, g, g == k)
 
@@ -305,18 +320,19 @@ def lk_generators(k: int, p_bound: int, cache: RankCache | None = None) -> Gener
     """
     if p_bound < 2:
         raise ValueError(f"need p_bound >= 2, got {p_bound}")
+    if p_bound > GENERATOR_BOUND_CAP:
+        raise OutOfRangeError(f"prime bound {p_bound} above cap {GENERATOR_BOUND_CAP}")
     cache = _resolve(cache)
     verdict = is_member(k, cache)
     if not verdict.member:
         raise NonMemberError(f"A_{k} is empty; L_{k} is defined only for members")
-    prime_fn = _prime_fn(cache)
     a2 = cache.seq.a2
     prime_part = tuple(pp.p for pp in arith.factor(k).factors)
     ratios = []
     for p in arith.primes_upto(p_bound):
         if k % p == 0 or math.gcd(p, a2) != 1:
             continue
-        ell_kp = rank_mod._rank_with(cache, k * p, prime_fn).ell
+        ell_kp = rank_mod._rank_with(cache, k * p).ell
         ratio, rem = divmod(ell_kp, verdict.ell_k)
         if rem:
             raise RuntimeError(f"ell({k}*{p}) not divisible by ell({k}); this indicates a bug")

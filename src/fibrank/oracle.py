@@ -8,16 +8,14 @@ order, so the merged result is identical to a single-threaded run.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith, rank as rank_mod
 from .arith import OutOfRangeError
-from .density import GeneratorSet, NonMemberError, _exact_sum, is_member
+from .density import GeneratorSet, NonMemberError, _exact_sum, _map_spans, _worker_count, is_member
 from .fib import FIBONACCI, LucasParams, fib_pair_mod, lucas_pair_mod
-from .rank import RankCache
+from .rank import RankCache, _resolve
 
 SCAN_CAP = 10**8
 B_SCAN_CAP = 10**5
@@ -38,16 +36,6 @@ class ScanRow:
     x: int
     count: int
     ratio: float
-
-
-def _resolve(cache: RankCache | None) -> RankCache:
-    return cache if cache is not None else rank_mod.default_cache()
-
-
-def _nthreads(threads: int) -> int:
-    if threads < 0:
-        raise ValueError(f"need threads >= 0, got {threads}")
-    return threads if threads else (os.cpu_count() or 1)
 
 
 def _gcd_block(seq: LucasParams, lo: int, hi: int, wanted, witness_cap: int):
@@ -97,11 +85,11 @@ def count_many(
     if checkpoints[0] < 1 or checkpoints[-1] > x:
         raise ValueError("checkpoints must lie in [1, x]")
     wanted = None if ks is None else set(ks)
-    threads = _nthreads(threads)
+    workers = _worker_count(threads, x)
 
     # chunk edges: thread-sized slices refined so every checkpoint is an edge
     edges = set(checkpoints) | {x}
-    step = max(1, x // max(threads * 4, 1))
+    step = max(1, x // (workers * 4))
     edges.update(range(step, x, step))
     edges = sorted(edges)
     spans = []
@@ -110,12 +98,7 @@ def count_many(
         spans.append((lo, hi))
         lo = hi + 1
 
-    jobs = [(a, b, wanted, witness_cap) for a, b in spans]
-    if threads == 1 or len(spans) <= 1:
-        results = [_gcd_block(seq, a, b, w, c) for a, b, w, c in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda j: _gcd_block(seq, *j), jobs))
+    results = _map_spans(lambda span: _gcd_block(seq, *span, wanted, witness_cap), spans, workers)
 
     running: dict[int, int] = {}
     first_wits: dict[int, list[int]] = {}
@@ -180,8 +163,7 @@ def verify_structure(k: int, x: int, cache: RankCache | None = None) -> bool:
     ell_k = verdict.ell_k
     cap = x // ell_k
 
-    prime_fn = rank_mod._cache_prime_fn(cache)
-    z_k = rank_mod._rank_with(cache, k, prime_fn).z
+    z_k = rank_mod._rank_with(cache, k).z
     candidates = set(arith.primes_upto(x))
     candidates.update(pp.p for pp in arith.factor(z_k).factors)
     small_gens = set()
@@ -191,7 +173,7 @@ def verify_structure(k: int, x: int, cache: RankCache | None = None) -> bool:
         if k % p == 0:
             small_gens.add(p)
             continue
-        ratio = rank_mod._rank_with(cache, k * p, prime_fn).ell // ell_k
+        ratio = rank_mod._rank_with(cache, k * p).ell // ell_k
         if ratio <= cap:
             small_gens.add(ratio)
 
@@ -242,18 +224,13 @@ def scan_B(
                 unknown += 1
         return members, unknown
 
-    threads = _nthreads(threads)
     edges = sorted(set(checkpoints) | {x})
     spans = []
     lo = 1
     for hi in edges:
         spans.append((lo, hi))
         lo = hi + 1
-    if threads == 1 or len(spans) <= 1:
-        results = [block(s) for s in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(block, spans))
+    results = _map_spans(block, spans, threads)
 
     rows = []
     total = unknown_total = 0
@@ -284,11 +261,12 @@ def scan_low_rank_primes(
         raise ValueError(f"need 0 < gamma < 1, got {gamma}")
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
+    if x > STRUCTURE_CAP:
+        raise OutOfRangeError(f"prime scan limit {x} above cap {STRUCTURE_CAP}")
     checkpoints = sorted(set(checkpoints)) if checkpoints else [x]
     if checkpoints[0] < 1 or checkpoints[-1] > x:
         raise ValueError("checkpoints must lie in [1, x]")
     cache = _resolve(cache)
-    prime_fn = rank_mod._cache_prime_fn(cache)
     a, q = gamma.numerator, gamma.denominator
     a2 = cache.seq.a2
     rows = []
@@ -303,7 +281,7 @@ def scan_low_rank_primes(
             break
         if math.gcd(p, a2) != 1:
             continue
-        if prime_fn(cache, p) ** q <= p**a:
+        if cache._prime_rank(p) ** q <= p**a:
             count += 1
     return rows
 
@@ -313,12 +291,13 @@ def partial_ell_sum(N: int, cache: RankCache | None = None) -> Fraction:
     for a Lucas sequence, where ell_u(n) is undefined)."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
+    if N > B_SCAN_CAP:
+        raise OutOfRangeError(f"ell sum limit {N} above cap {B_SCAN_CAP}")
     cache = _resolve(cache)
-    prime_fn = rank_mod._cache_prime_fn(cache)
     a2 = cache.seq.a2
     gcd = math.gcd
     return _exact_sum(
-        Fraction(1, rank_mod._rank_with(cache, n, prime_fn).ell)
+        Fraction(1, rank_mod._rank_with(cache, n).ell)
         for n in range(1, N + 1)
         if gcd(n, a2) == 1
     )
@@ -328,6 +307,8 @@ def nonmultiple_density(g: GeneratorSet, x: int) -> Fraction:
     """#{m <= x : no element of g divides m} / x, by direct sieve."""
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
+    if x > STRUCTURE_CAP:
+        raise OutOfRangeError(f"nonmultiple sieve limit {x} above cap {STRUCTURE_CAP}")
     allowed = bytearray([1]) * (x + 1)
     for gen in g.elements():
         if gen <= x:

@@ -5,6 +5,10 @@ sequence, defined only when gcd(m, a2) = 1).  Composite ranks are built
 multiplicatively: z(m) is the lcm of z(p^e) over the prime powers of m,
 and prime-power ranks are lifted stepwise from z(p) -- the step test
 never assumes z(p^2) != z(p), so Wall's conjecture is not baked in.
+
+A RankCache is the one rank engine of its sequence: it chooses the
+prime-rank algorithm and the modular term function once, when it is
+built, and every rank, membership and density computation runs through it.
 """
 
 import math
@@ -32,7 +36,8 @@ class RankCache:
     The cache also fixes which prime-rank algorithm its users run: the
     Fibonacci-specific one, or the generalized Lucas one (which is also
     valid at (a1, a2) = (1, 1) and can be forced there to cross-check the
-    generalization against the specialized path).
+    generalization against the specialized path).  Both the algorithm and
+    pair_mod are looked up when the cache is built, not at import time.
 
     Safe for concurrent use: lookups and inserts are GIL-atomic dict
     operations and every insert is idempotent, so the worst race is a
@@ -48,11 +53,17 @@ class RankCache:
         self.lucas_algorithms = lucas_algorithms
         if lucas_algorithms:
             self.pair_mod = lambda n, m: lucas_pair_mod(seq, n, m)
+            self._prime_algorithm = _prime_rank_lucas
         else:
             self.pair_mod = fib_pair_mod
+            self._prime_algorithm = _prime_rank_fib
         self._prime_z: dict[int, int] = {}
         self._ppow_z: dict[tuple[int, int], int] = {}
         self._records: dict[int, RankRecord] = {}
+
+    def _prime_rank(self, p: int) -> int:
+        """z(p) for prime p by this cache's algorithm."""
+        return self._prime_algorithm(self, p)
 
     def clear(self):
         self._prime_z.clear()
@@ -76,8 +87,8 @@ def default_cache(seq: LucasParams = FIBONACCI) -> RankCache:
     return _shared_cache(seq, not seq.is_fibonacci)
 
 
-def _cache_prime_fn(cache: RankCache):
-    return _prime_rank_lucas if cache.lucas_algorithms else _prime_rank_fib
+def _resolve(cache: RankCache | None) -> RankCache:
+    return cache if cache is not None else default_cache()
 
 
 def _scan_rank(seq: LucasParams, m: int, cap: int) -> int:
@@ -116,8 +127,9 @@ def _prime_rank_lucas(cache: RankCache, p: int) -> int:
     """z_u(p) for any nondegenerate parameters.
 
     Odd p not dividing disc * a2: smallest divisor d of p - (disc/p) with
-    p | u_d.  p = 2 and p | disc: direct scan (cap 6 p^2 comfortably
-    exceeds the period mod p).
+    p | u_d.  p = 2: u_2 = a1 and u_3 = a1^2 + a2 with a2 odd, so z = 2 for
+    even a1, else 3.  Odd p | disc: u_n = n (a1/2)^(n-1) (mod p) and p does
+    not divide a1, so z = p.
     """
     z = cache._prime_z.get(p)
     if z is not None:
@@ -125,8 +137,10 @@ def _prime_rank_lucas(cache: RankCache, p: int) -> int:
     seq = cache.seq
     if math.gcd(p, seq.a2) != 1:
         raise RankUndefinedError(f"z({p}) undefined: {p} divides a2 = {seq.a2}")
-    if p == 2 or seq.discriminant % p == 0:
-        z = _scan_rank(seq, p, 6 * p * p)
+    if p == 2:
+        z = 2 if seq.a1 % 2 == 0 else 3
+    elif seq.discriminant % p == 0:
+        z = p
     else:
         e = p - arith.jacobi(seq.discriminant, p)
         for d in arith.divisors(arith.factor(e)):
@@ -139,7 +153,7 @@ def _prime_rank_lucas(cache: RankCache, p: int) -> int:
     return z
 
 
-def _prime_power_rank(cache: RankCache, p: int, e: int, prime_fn) -> int:
+def _prime_power_rank(cache: RankCache, p: int, e: int) -> int:
     """z(p^e) lifted from z(p^(e-1)): unchanged if p^e already divides
     that term, else multiplied by p."""
     if p**e > arith.U64_MAX:
@@ -147,7 +161,7 @@ def _prime_power_rank(cache: RankCache, p: int, e: int, prime_fn) -> int:
     z = cache._ppow_z.get((p, e))
     if z is not None:
         return z
-    z = prime_fn(cache, p)
+    z = cache._prime_rank(p)
     cache._ppow_z[(p, 1)] = z
     pk = p
     for j in range(2, e + 1):
@@ -162,14 +176,14 @@ def _prime_power_rank(cache: RankCache, p: int, e: int, prime_fn) -> int:
     return z
 
 
-def _rank_with(cache: RankCache, m: int, prime_fn) -> RankRecord:
+def _rank_with(cache: RankCache, m: int) -> RankRecord:
     arith._check_u64(m, "m")
     rec = cache._records.get(m)
     if rec is not None:
         return rec
     z = 1
     for pp in arith.factor(m).factors:
-        z = checked_lcm(z, _prime_power_rank(cache, pp.p, pp.e, prime_fn))
+        z = checked_lcm(z, _prime_power_rank(cache, pp.p, pp.e))
     ell = checked_lcm(m, z)
     rec = RankRecord(m, z, ell)
     cache._records[m] = rec
@@ -180,8 +194,7 @@ def rank_prime(p: int, cache: RankCache | None = None) -> int:
     """z(p) for prime p in the Fibonacci sequence."""
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    cache = cache or default_cache()
-    return _cache_prime_fn(cache)(cache, p)
+    return _resolve(cache)._prime_rank(p)
 
 
 def rank_prime_power(p: int, e: int, cache: RankCache | None = None) -> int:
@@ -190,16 +203,15 @@ def rank_prime_power(p: int, e: int, cache: RankCache | None = None) -> int:
         raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError(f"need e >= 1, got {e}")
-    cache = cache or default_cache()
-    return _prime_power_rank(cache, p, e, _cache_prime_fn(cache))
+    return _prime_power_rank(_resolve(cache), p, e)
 
 
 def rank(m: int, cache: RankCache | None = None) -> RankRecord:
     """RankRecord (m, z(m), ell(m)) for the Fibonacci sequence."""
-    cache = cache or default_cache()
+    cache = _resolve(cache)
     if not cache.seq.is_fibonacci:
         raise ValueError("rank() needs a Fibonacci cache; use lucas_rank for other sequences")
-    return _rank_with(cache, m, _cache_prime_fn(cache))
+    return _rank_with(cache, m)
 
 
 def rank_naive(m: int, limit: int | None = None) -> int:
@@ -228,4 +240,4 @@ def lucas_rank(seq: LucasParams, m: int, cache: RankCache | None = None) -> Rank
         cache = _shared_cache(seq, True)
     if cache.seq != seq:
         raise ValueError("cache was built for different Lucas parameters")
-    return _rank_with(cache, m, _cache_prime_fn(cache))
+    return _rank_with(cache, m)

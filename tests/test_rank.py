@@ -177,3 +177,38 @@ class TestLucasRank:
         cache = RankCache(LucasParams(2, 1))
         with pytest.raises(ValueError):
             lucas_rank(LucasParams(1, 2), 3, cache)
+
+
+class TestClosedFormPrimeRanks:
+    """z(2) and z(p) for odd p | disc come from closed forms, not a scan."""
+
+    @staticmethod
+    def scan(seq, p):
+        a, b = 0, 1 % p
+        for n in range(1, 6 * p * p + 1):
+            a, b = b, (seq.a1 * b + seq.a2 * a) % p
+            if a == 0:
+                return n
+        raise AssertionError
+
+    def test_vs_scan_small_parameters(self):
+        primes = [p for p in range(2, 60) if all(p % q for q in range(2, p))]
+        checked = 0
+        for a1 in range(-12, 13):
+            for a2 in range(-12, 13):
+                try:
+                    seq = LucasParams(a1, a2)
+                except ValueError:
+                    continue
+                cache = RankCache(seq)
+                for p in primes:
+                    if a2 % p and (p == 2 or seq.discriminant % p == 0):
+                        assert lucas_rank(seq, p, cache).z == self.scan(seq, p), (a1, a2, p)
+                        checked += 1
+        assert checked > 300
+
+    def test_large_prime_discriminant_is_fast(self):
+        # disc = 1 + 4 a2 = p for a prime p ~ 2^40; a scan would take ~p steps
+        p = 1099511627873
+        rec = lucas_rank(LucasParams(1, (p - 1) // 4), p)
+        assert (rec.z, rec.ell) == (p, p)
