@@ -207,15 +207,11 @@ def gcd_lcm(a: int, b: int) -> tuple[int, int]:
         raise ValueError("gcd_lcm needs nonnegative arguments")
     if a == 0 and b == 0:
         raise ValueError("lcm(0, 0) is undefined")
-    g = math.gcd(a, b)
-    l = a // g * b if g else 0
-    if l > U64_MAX:
-        raise OutOfRangeError(f"lcm({a}, {b}) = {l} out of supported range [1, 2^64 - 1]")
-    return g, l
+    return math.gcd(a, b), checked_lcm(a, b)
 
 
 def checked_lcm(a: int, b: int) -> int:
-    """lcm with the same 64-bit overflow check as gcd_lcm."""
+    """lcm of nonnegative a, b; overflow past 64 bits is an error."""
     l = math.lcm(a, b)
     if l > U64_MAX:
         raise OutOfRangeError(f"lcm({a}, {b}) = {l} out of supported range [1, 2^64 - 1]")

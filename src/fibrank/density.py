@@ -9,8 +9,6 @@ is a heuristic convergence indicator, not a proved bound.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,9 +16,6 @@ from . import arith, rank as rank_mod
 from .arith import OutOfRangeError
 from .fib import FIBONACCI, LucasParams
 from .rank import RankCache, RankUndefinedError, _resolve
-
-# below this many terms a thread pool costs more than it saves
-_PARALLEL_MIN_TERMS = 4096
 
 # the sieve behind a depth-D series holds two 4D-entry lists (about 75 MB
 # at D = 10^6), and a generator bound B costs one sieve entry and one rank
@@ -124,85 +119,42 @@ def _exact_sum(fractions) -> Fraction:
     return total
 
 
-def _worker_count(threads: int, jobs: int) -> int:
-    """How many threads run `jobs` independent jobs: threads = 0 asks for
-    one per CPU, and there are never more threads than CPUs or jobs."""
+def _check_threads(threads: int):
+    """threads is accepted for compatibility; every sum runs in this thread."""
     if threads < 0:
         raise ValueError(f"need threads >= 0, got {threads}")
-    cpus = os.cpu_count() or 1
-    return max(1, min(threads or cpus, cpus, jobs))
-
-
-def _map_spans(fn, spans: list, threads: int) -> list:
-    """[fn(span) for span in spans], spread over _worker_count threads."""
-    workers = _worker_count(threads, len(spans))
-    if workers == 1:
-        return [fn(span) for span in spans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, spans))
-
-
-def _parallel_sum(lo: int, hi: int, threads: int, term_range) -> Fraction:
-    """Exact sum of term_range(a, b) over [lo, hi], optionally range-partitioned.
-
-    Exactness makes the reduction independent of the partitioning, so the
-    result is identical for any thread count.
-    """
-    if hi < lo:
-        return Fraction(0)
-    terms = hi - lo + 1
-    workers = _worker_count(threads, terms)
-    if workers == 1 or terms < _PARALLEL_MIN_TERMS:
-        return _exact_sum(term_range(lo, hi))
-    step = -(-terms // (workers * 4))
-    spans = [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
-    total = Fraction(0)
-    for part in _map_spans(lambda span: _exact_sum(term_range(*span)), spans, workers):
-        total += part
-    return total
 
 
 class _EllOfDK:
     """ell(dk) for squarefree d, sharing z-values of k's prime powers.
 
-    For p | gcd(d, k) the exponent of p in dk is bumped by one, so the
-    cached z(p^(e+1)) replaces z(p^e); new primes of d contribute z(p).
+    z(p^e) divides z(p^(e+1)), so ell(dk) starts from z(k) and takes the
+    lcm with the cached z(p^(e+1)) for each p | gcd(d, k) and with z(p)
+    for each other prime p of d.
     """
 
-    __slots__ = ("cache", "k", "spf", "k_exp", "z_plain", "z_bump", "z_k")
+    __slots__ = ("cache", "k", "spf", "z_bump", "z_k")
 
     def __init__(self, cache: RankCache, k: int, spf: list[int]):
         self.cache = cache
         self.k = k
         self.spf = spf
-        self.k_exp = {pp.p: pp.e for pp in arith.factor(k).factors}
-        self.z_plain = {}
         self.z_bump = {}
         z_k = 1
-        for p, e in self.k_exp.items():
-            zp = rank_mod._prime_power_rank(cache, p, e)
-            self.z_plain[p] = zp
-            self.z_bump[p] = rank_mod._prime_power_rank(cache, p, e + 1)
-            z_k = math.lcm(z_k, zp)
+        for pp in arith.factor(k).factors:
+            z_k = math.lcm(z_k, rank_mod._prime_power_rank(cache, pp.p, pp.e))
+            self.z_bump[pp.p] = rank_mod._prime_power_rank(cache, pp.p, pp.e + 1)
         self.z_k = z_k
 
     def __call__(self, d: int) -> int:
         lcm = math.lcm
-        z = 1
-        bumped = None
+        z_bump = self.z_bump
+        z = self.z_k
         n = d
         while n > 1:
             p = self.spf[n]
             n //= p
-            if p in self.k_exp:
-                bumped = (p,) if bumped is None else bumped + (p,)
-            else:
-                z = lcm(z, self.cache._prime_rank(p))
-        if bumped is None:
-            z = lcm(z, self.z_k)
-        else:
-            for p in self.k_exp:
-                z = lcm(z, self.z_bump[p] if p in bumped else self.z_plain[p])
+            z = lcm(z, z_bump[p] if p in z_bump else self.cache._prime_rank(p))
         return arith.checked_lcm(d * self.k, z)
 
 
@@ -214,6 +166,7 @@ def _series(cache: RankCache, k: int, depth: int, *, coprime_to_k: bool, threads
     if depth > SERIES_DEPTH_CAP:
         raise OutOfRangeError(f"series depth {depth} above cap {SERIES_DEPTH_CAP}")
     _require_rank_defined(cache, k)
+    _check_threads(threads)
     a2 = cache.seq.a2
     mu, spf = arith.mobius_spf_sieve(4 * depth)
     ell_dk = _EllOfDK(cache, k, spf)
@@ -230,14 +183,8 @@ def _series(cache: RankCache, k: int, depth: int, *, coprime_to_k: bool, threads
             return False
         return True
 
-    def signed_terms(lo, hi):
-        return (Fraction(mu[d], ell_dk(d)) for d in range(lo, hi + 1) if accepted(d))
-
-    def tail_terms(lo, hi):
-        return (Fraction(1, ell_dk(d)) for d in range(lo, hi + 1) if accepted(d))
-
-    partial = _parallel_sum(1, depth, threads, signed_terms)
-    tail = _parallel_sum(depth + 1, 4 * depth, threads, tail_terms)
+    partial = _exact_sum(Fraction(mu[d], ell_dk(d)) for d in range(1, depth + 1) if accepted(d))
+    tail = _exact_sum(Fraction(1, ell_dk(d)) for d in range(depth + 1, 4 * depth + 1) if accepted(d))
     return SeriesApproximation(k, depth, partial, tail, float(partial))
 
 
@@ -262,9 +209,7 @@ def lucas_is_member(seq: LucasParams, k: int, cache: RankCache | None = None) ->
         raise ValueError(f"need k >= 1, got {k}")
     if math.gcd(k, seq.a2) != 1:
         return MembershipVerdict(k, 0, 0, False)
-    if cache is None:
-        cache = rank_mod._shared_cache(seq, True)
-    return is_member(k, cache)
+    return is_member(k, rank_mod._cache_for(seq, cache))
 
 
 def density_series(k: int, depth: int, cache: RankCache | None = None, threads: int = 1) -> SeriesApproximation:
@@ -285,11 +230,7 @@ def lucas_density_series(
     seq: LucasParams, k: int, depth: int, cache: RankCache | None = None, threads: int = 1
 ) -> SeriesApproximation:
     """Density series for a Lucas sequence: squarefree d with gcd(d, a2) = 1."""
-    if cache is None:
-        cache = rank_mod._shared_cache(seq, True)
-    if cache.seq != seq:
-        raise ValueError("cache was built for different Lucas parameters")
-    return _series(cache, k, depth, coprime_to_k=False, threads=threads)
+    return _series(rank_mod._cache_for(seq, cache), k, depth, coprime_to_k=False, threads=threads)
 
 
 def inclusion_exclusion_check(

@@ -13,7 +13,7 @@ Fibonacci is the (a1, a2) = (1, 1) case.
 import math
 from dataclasses import dataclass, field
 
-from .arith import U64_MAX, OutOfRangeError, is_prime
+from .arith import U64_MAX, OutOfRangeError, _check_u64, is_prime
 
 FIB_EXACT_CAP = 10_000
 
@@ -60,14 +60,9 @@ def fib_exact(n: int, cap: int = FIB_EXACT_CAP) -> int:
     return a
 
 
-def _check_modulus(m):
-    if not 1 <= m <= U64_MAX:
-        raise OutOfRangeError(f"modulus {m} out of supported range [1, 2^64 - 1]")
-
-
 def fib_pair_mod(n: int, m: int) -> tuple[int, int]:
     """(F_n mod m, F_{n+1} mod m) in O(log n) doubling steps."""
-    _check_modulus(m)
+    _check_u64(m, "modulus")
     if n < 0:
         raise ValueError(f"Fibonacci index must be >= 0, got {n}")
     if m == 1:
@@ -88,7 +83,7 @@ def lucas_pair_mod(seq: LucasParams, n: int, m: int) -> tuple[int, int]:
 
     Negative intermediates are reduced into [0, m) by Python's %.
     """
-    _check_modulus(m)
+    _check_u64(m, "modulus")
     if n < 0:
         raise ValueError(f"Lucas index must be >= 0, got {n}")
     if m == 1:

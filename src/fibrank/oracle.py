@@ -2,9 +2,8 @@
 
 Everything here counts by direct evaluation of gcd(n, F_n) (or a naive
 sieve), never through the rank/density formulas being tested, so these
-results can ground the formula-based paths.  Range scans may be
-partitioned across worker threads; per-chunk tallies are merged in chunk
-order, so the merged result is identical to a single-threaded run.
+results can ground the formula-based paths.  Every scan is one serial
+pass; the threads arguments are validated and otherwise ignored.
 """
 
 import math
@@ -13,7 +12,7 @@ from fractions import Fraction
 
 from . import arith, rank as rank_mod
 from .arith import OutOfRangeError
-from .density import GeneratorSet, NonMemberError, _exact_sum, _map_spans, _worker_count, is_member
+from .density import GeneratorSet, NonMemberError, _check_threads, _exact_sum, is_member
 from .fib import FIBONACCI, LucasParams, fib_pair_mod, lucas_pair_mod
 from .rank import RankCache, _resolve
 
@@ -38,15 +37,21 @@ class ScanRow:
     ratio: float
 
 
-def _gcd_block(seq: LucasParams, lo: int, hi: int, wanted, witness_cap: int):
-    """Per-k tallies of gcd(n, u_n) for lo <= n <= hi.
+def _checkpoints(checkpoints: list[int] | None, x: int) -> list[int]:
+    """Sorted distinct checkpoints, [x] if none are given."""
+    checkpoints = sorted(set(checkpoints)) if checkpoints else [x]
+    if checkpoints[0] < 1 or checkpoints[-1] > x:
+        raise ValueError("checkpoints must lie in [1, x]")
+    return checkpoints
 
-    wanted is a set of k values to track, or None for all of them.
-    Returns (counts, witnesses) dicts for this block only.
+
+def _gcd_block(seq: LucasParams, lo: int, hi: int, wanted, witness_cap: int, counts: dict, wits: dict):
+    """Add the tallies of gcd(n, u_n) for lo <= n <= hi into counts and wits.
+
+    wanted is a set of k values to track, or None for all of them; wits
+    keeps the first witness_cap n of each k.
     """
     gcd = math.gcd
-    counts: dict[int, int] = {}
-    wits: dict[int, list[int]] = {}
     fibonacci = seq.is_fibonacci
     for n in range(lo, hi + 1):
         if fibonacci:
@@ -62,7 +67,6 @@ def _gcd_block(seq: LucasParams, lo: int, hi: int, wanted, witness_cap: int):
                 wits[g] = [n]
             elif len(lst) < witness_cap:
                 lst.append(n)
-    return counts, wits
 
 
 def count_many(
@@ -81,41 +85,20 @@ def count_many(
     """
     if not 1 <= x <= SCAN_CAP:
         raise OutOfRangeError(f"scan limit {x} outside [1, {SCAN_CAP}]")
-    checkpoints = sorted(set(checkpoints)) if checkpoints else [x]
-    if checkpoints[0] < 1 or checkpoints[-1] > x:
-        raise ValueError("checkpoints must lie in [1, x]")
+    checkpoints = _checkpoints(checkpoints, x)
+    _check_threads(threads)
     wanted = None if ks is None else set(ks)
-    workers = _worker_count(threads, x)
-
-    # chunk edges: thread-sized slices refined so every checkpoint is an edge
-    edges = set(checkpoints) | {x}
-    step = max(1, x // (workers * 4))
-    edges.update(range(step, x, step))
-    edges = sorted(edges)
-    spans = []
-    lo = 1
-    for hi in edges:
-        spans.append((lo, hi))
-        lo = hi + 1
-
-    results = _map_spans(lambda span: _gcd_block(seq, *span, wanted, witness_cap), spans, workers)
 
     running: dict[int, int] = {}
     first_wits: dict[int, list[int]] = {}
     at_checkpoint: dict[int, dict[int, int]] = {}
-    cp_iter = iter(checkpoints)
-    next_cp = next(cp_iter)
-    for (a, b), (counts, wits) in zip(spans, results):
-        for g, c in counts.items():
-            running[g] = running.get(g, 0) + c
-        if witness_cap:
-            for g, lst in wits.items():
-                dst = first_wits.setdefault(g, [])
-                if len(dst) < witness_cap:
-                    dst.extend(lst[: witness_cap - len(dst)])
-        while next_cp is not None and next_cp <= b:
-            at_checkpoint[next_cp] = dict(running)
-            next_cp = next(cp_iter, None)
+    lo = 1
+    for cp in checkpoints:
+        _gcd_block(seq, lo, cp, wanted, witness_cap, running, first_wits)
+        at_checkpoint[cp] = dict(running)
+        lo = cp + 1
+    if lo <= x:  # ks = None reports every gcd value up to x, not only up to the last checkpoint
+        _gcd_block(seq, lo, x, wanted, witness_cap, running, first_wits)
 
     keys = sorted(running) if ks is None else list(ks)
     out: dict[int, list[CountReport]] = {}
@@ -204,43 +187,23 @@ def scan_B(
     """
     if not 1 <= x <= B_SCAN_CAP:
         raise OutOfRangeError(f"membership scan limit {x} outside [1, {B_SCAN_CAP}]")
-    checkpoints = sorted(set(checkpoints)) if checkpoints else [x]
-    if checkpoints[0] < 1 or checkpoints[-1] > x:
-        raise ValueError("checkpoints must lie in [1, x]")
+    cp_set = set(_checkpoints(checkpoints, x))
+    _check_threads(threads)
     cache = _resolve(cache)
     a2 = cache.seq.a2
     gcd = math.gcd
-
-    def block(span):
-        lo, hi = span
-        members = unknown = 0
-        for k in range(lo, hi + 1):
-            if gcd(k, a2) != 1:
-                continue
+    rows = []
+    members = unknown = 0
+    for k in range(1, x + 1):
+        if gcd(k, a2) == 1:
             try:
                 if is_member(k, cache).member:
                     members += 1
             except OutOfRangeError:
                 unknown += 1
-        return members, unknown
-
-    edges = sorted(set(checkpoints) | {x})
-    spans = []
-    lo = 1
-    for hi in edges:
-        spans.append((lo, hi))
-        lo = hi + 1
-    results = _map_spans(block, spans, threads)
-
-    rows = []
-    total = unknown_total = 0
-    cp_set = set(checkpoints)
-    for (a, b), (members, unknown) in zip(spans, results):
-        total += members
-        unknown_total += unknown
-        if b in cp_set:
-            rows.append(ScanRow(b, total, total / b))
-    return rows, unknown_total
+        if k in cp_set:
+            rows.append(ScanRow(k, members, members / k))
+    return rows, unknown
 
 
 def scan_low_rank_primes(
@@ -263,9 +226,7 @@ def scan_low_rank_primes(
         raise ValueError(f"need x >= 1, got {x}")
     if x > STRUCTURE_CAP:
         raise OutOfRangeError(f"prime scan limit {x} above cap {STRUCTURE_CAP}")
-    checkpoints = sorted(set(checkpoints)) if checkpoints else [x]
-    if checkpoints[0] < 1 or checkpoints[-1] > x:
-        raise ValueError("checkpoints must lie in [1, x]")
+    checkpoints = _checkpoints(checkpoints, x)
     cache = _resolve(cache)
     a, q = gamma.numerator, gamma.denominator
     a2 = cache.seq.a2

@@ -91,6 +91,15 @@ def _resolve(cache: RankCache | None) -> RankCache:
     return cache if cache is not None else default_cache()
 
 
+def _cache_for(seq: LucasParams, cache: RankCache | None) -> RankCache:
+    """The shared Lucas-algorithm cache of seq, or cache if it was built for seq."""
+    if cache is None:
+        return _shared_cache(seq, True)
+    if cache.seq != seq:
+        raise ValueError("cache was built for different Lucas parameters")
+    return cache
+
+
 def _scan_rank(seq: LucasParams, m: int, cap: int) -> int:
     a1, a2 = seq.a1, seq.a2
     a, b = 1 % m, a1 % m
@@ -236,8 +245,4 @@ def lucas_rank(seq: LucasParams, m: int, cache: RankCache | None = None) -> Rank
         raise ValueError(f"need m >= 1, got {m}")
     if math.gcd(m, seq.a2) != 1:
         raise RankUndefinedError(f"z_u({m}) undefined: gcd({m}, a2 = {seq.a2}) > 1")
-    if cache is None:
-        cache = _shared_cache(seq, True)
-    if cache.seq != seq:
-        raise ValueError("cache was built for different Lucas parameters")
-    return _rank_with(cache, m)
+    return _rank_with(_cache_for(seq, cache), m)

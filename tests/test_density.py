@@ -27,10 +27,12 @@ from fibrank import (
     lk_generators,
     lucas_density_series,
     lucas_is_member,
+    lucas_rank,
     rank,
 )
-from fibrank.density import MembershipVerdict
-from fibrank.rank import RankCache
+from fibrank import arith
+from fibrank.density import MembershipVerdict, _EllOfDK
+from fibrank.rank import RankCache, _rank_with, default_cache
 
 PELL = LucasParams(2, 1)
 
@@ -281,8 +283,36 @@ class TestLucas:
         # d = 1 and d = 3: 1/ell_u(1) - 1/ell_u(3) = 1 - 1/3
         assert s.partial_sum == Fraction(2, 3)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cache: lucas_rank(PELL, 5, cache),
+            lambda cache: lucas_is_member(PELL, 5, cache),
+            lambda cache: lucas_density_series(PELL, 5, 10, cache),
+        ],
+        ids=["lucas_rank", "lucas_is_member", "lucas_density_series"],
+    )
+    def test_cache_of_other_sequence_rejected(self, call):
+        # a Fibonacci cache would answer ell(5) = 5; the Pell answer is 15
+        with pytest.raises(ValueError, match="different Lucas parameters"):
+            call(default_cache())
+        assert lucas_is_member(PELL, 5).ell_k == 15
+
     def test_rank_undefined_series_rejected(self):
         from fibrank import RankUndefinedError
 
         with pytest.raises(RankUndefinedError):
             lucas_density_series(LucasParams(1, 2), 2, 10)
+
+
+class TestEllOfDK:
+    @pytest.mark.parametrize("seq", [FIBONACCI, PELL], ids=["fibonacci", "pell"])
+    def test_matches_composite_rank(self, seq):
+        # k <= 60 includes the prime powers 4, 8, 9, 16, 25, 27, 32 and 49
+        mu, spf = arith.mobius_spf_sieve(3000)
+        ref = RankCache(seq)
+        for k in range(1, 61):
+            ell_dk = _EllOfDK(RankCache(seq), k, spf)
+            for d in range(1, 3001):
+                if mu[d]:
+                    assert ell_dk(d) == _rank_with(ref, d * k).ell, (k, d)

@@ -1,6 +1,7 @@
 """Size caps and worker counts: every size input that sizes an allocation
-fails fast above its cap, and no pool gets more threads than CPUs or jobs."""
+fails fast above its cap, and no thread count ever starts a thread."""
 
+import threading
 from fractions import Fraction
 
 import pytest
@@ -78,50 +79,31 @@ class TestCaps:
         assert oracle.B_SCAN_CAP >= 100_000 and oracle.STRUCTURE_CAP >= 100_000
 
 
-class RecordingPool:
-    """Stands in for ThreadPoolExecutor: records max_workers, runs serially."""
-
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 class TestWorkers:
+    """threads is validated (negative is a ValueError) and otherwise ignored:
+    whatever its value, the work runs in the calling thread."""
+
     @pytest.fixture
-    def pools(self, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(density, "ThreadPoolExecutor", lambda max_workers: RecordingPool(sizes, max_workers))
-        monkeypatch.setattr(density.os, "cpu_count", lambda: 4)
-        return sizes
+    def no_threads(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a thread was started")
 
-    def test_count_clamped_to_cpus(self, pools):
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    def test_count_clamped_to_cpus(self, no_threads):
         assert count_many(None, 3000, threads=10**5) == count_many(None, 3000, threads=1)
-        assert pools == [4]
 
-    def test_series_clamped_to_cpus(self, pools):
-        # the partial sum has 2000 terms (serial), the tail window 6000 (pooled)
+    def test_series_clamped_to_cpus(self, no_threads):
         assert density_series(2, 2000, threads=10**5) == density_series(2, 2000, threads=1)
-        assert pools == [4]
 
-    def test_scan_b_clamped_to_spans(self, pools):
+    def test_scan_b_clamped_to_spans(self, no_threads):
         assert scan_B(300, [100, 200, 300], threads=10**5) == scan_B(300, [100, 200, 300], threads=1)
-        assert pools == [3]
 
-    def test_zero_means_one_per_cpu(self, pools):
-        count_many(None, 3000, threads=0)
-        assert pools == [4]
+    def test_zero_means_one_per_cpu(self, no_threads):
+        assert count_many(None, 3000, threads=0) == count_many(None, 3000, threads=1)
 
-    def test_cli_threads_clamped(self, pools, capsys):
+    def test_cli_threads_clamped(self, no_threads, capsys):
         assert main(["count", "1", "--limit", "5000", "--threads", "100000"]) == 0
-        assert pools == [4]
 
     @pytest.mark.parametrize(
         "call",
@@ -133,7 +115,6 @@ class TestWorkers:
         ],
         ids=["density_series", "inclusion_exclusion_check", "count_many", "scan_B"],
     )
-    def test_negative_threads_rejected(self, call, pools):
+    def test_negative_threads_rejected(self, call, no_threads):
         with pytest.raises(ValueError, match="threads >= 0"):
             call()
-        assert pools == []
