@@ -136,14 +136,22 @@ def _pollard_brent(n):
 def factor(n: int) -> Factorization:
     """Complete prime factorization of 1 <= n <= 2^64 - 1.
 
-    Trial division below 1000, then deterministic Miller-Rabin plus
-    Brent-cycle Pollard rho on whatever remains.
+    n up to the limit of the cached sieve (see mobius_spf_sieve) is split by
+    repeated smallest-prime-factor division.  Larger n: trial division
+    below 1000, then deterministic Miller-Rabin plus Brent-cycle Pollard rho
+    on whatever remains.
     """
     _check_u64(n)
     if n == 1:
         return Factorization(1, ())
     counts: dict[int, int] = {}
     m = n
+    limit, _, spf = _SIEVE
+    if n <= limit:
+        while m > 1:
+            p = spf[m]
+            counts[p] = counts.get(p, 0) + 1
+            m //= p
     for p in _SMALL_PRIMES:
         if p * p > m:
             break
@@ -226,7 +234,8 @@ def primes_upto(limit: int) -> list[int]:
 
 
 # Grow-only cache for the (mobius, smallest-prime-factor) sieve used by the
-# density and oracle scans.  Replaced atomically; stale reads just recompute.
+# density and oracle scans and by factor.  Replaced atomically; stale reads
+# just recompute.
 _SIEVE: tuple[int, list[int], list[int]] = (0, [], [])
 
 

@@ -330,7 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv")
     fmt.add_argument("--text", dest="fmt", action="store_const", const="text")
     common.set_defaults(fmt="text")
-    common.add_argument("--threads", type=_nonnegative, default=None, help="0 = auto (default: FIBRANK_THREADS or 1)")
+    common.add_argument(
+        "--threads",
+        type=_nonnegative,
+        default=None,
+        help="validated (>= 0), otherwise ignored: every job runs in one thread (default: FIBRANK_THREADS or 1)",
+    )
     common.add_argument("--seed", type=int, default=None, help="accepted and ignored; no randomness affects results")
 
     parser = argparse.ArgumentParser(prog="fibrank", description=__doc__.splitlines()[0])

@@ -5,6 +5,10 @@ sequence, defined only when gcd(m, a2) = 1).  Composite ranks are built
 multiplicatively: z(m) is the lcm of z(p^e) over the prime powers of m,
 and prime-power ranks are lifted stepwise from z(p) -- the step test
 never assumes z(p^2) != z(p), so Wall's conjecture is not baked in.
+A prime rank z(p) divides e = p - (disc/p) and is found as an element
+order (Cohen, Alg. 1.4.3): starting from e, each prime of e is divided out
+while p still divides the term of the smaller index, so only the prime
+factors of e are needed, not its divisors.
 
 A RankCache is the one rank engine of its sequence: it chooses the
 prime-rank algorithm and the modular term function once, when it is
@@ -110,9 +114,27 @@ def _scan_rank(seq: LucasParams, m: int, cap: int) -> int:
     raise RuntimeError(f"no rank of {m} within {cap} steps; this indicates a bug")
 
 
+def _lift_order(pair_mod, p: int, e: int) -> int:
+    """z(p) from a multiple e of it: the least z with p | u_z.
+
+    The n with p | u_n are the multiples of z(p), so for each prime power
+    q^a of e, q is divided out of z = e while p divides u_{z/q}.
+    pair_mod(n, m) gives (u_n mod m, u_{n+1} mod m).
+    """
+    if pair_mod(e, p)[0] != 0:
+        raise RuntimeError(f"{p} does not divide u_{e}; this indicates a bug")
+    z = e
+    for pp in arith.factor(e).factors:
+        for _ in range(pp.e):
+            if pair_mod(z // pp.p, p)[0] != 0:
+                break
+            z //= pp.p
+    return z
+
+
 def _prime_rank_fib(cache: RankCache, p: int) -> int:
-    """z(p): hardwired for 2 and 5, else the smallest divisor d of
-    p - (p/5) with p | F_d."""
+    """z(p): hardwired for 2 and 5, else the order lifted from
+    e = p - (p/5), which z(p) divides."""
     z = cache._prime_z.get(p)
     if z is not None:
         return z
@@ -121,13 +143,7 @@ def _prime_rank_fib(cache: RankCache, p: int) -> int:
     elif p == 5:
         z = 5
     else:
-        e = p - arith.jacobi(p, 5)
-        for d in arith.divisors(arith.factor(e)):
-            if fib_pair_mod(d, p)[0] == 0:
-                z = d
-                break
-        else:  # unreachable: z(p) | p - (p/5)
-            raise RuntimeError(f"no divisor of {e} is a rank for prime {p}")
+        z = _lift_order(fib_pair_mod, p, p - arith.jacobi(p, 5))
     cache._prime_z[p] = z
     return z
 
@@ -135,10 +151,10 @@ def _prime_rank_fib(cache: RankCache, p: int) -> int:
 def _prime_rank_lucas(cache: RankCache, p: int) -> int:
     """z_u(p) for any nondegenerate parameters.
 
-    Odd p not dividing disc * a2: smallest divisor d of p - (disc/p) with
-    p | u_d.  p = 2: u_2 = a1 and u_3 = a1^2 + a2 with a2 odd, so z = 2 for
-    even a1, else 3.  Odd p | disc: u_n = n (a1/2)^(n-1) (mod p) and p does
-    not divide a1, so z = p.
+    Odd p not dividing disc * a2: the order lifted from e = p - (disc/p),
+    which z_u(p) divides.  p = 2: u_2 = a1 and u_3 = a1^2 + a2 with a2
+    odd, so z = 2 for even a1, else 3.  Odd p | disc: u_n = n (a1/2)^(n-1)
+    (mod p) and p does not divide a1, so z = p.
     """
     z = cache._prime_z.get(p)
     if z is not None:
@@ -151,13 +167,7 @@ def _prime_rank_lucas(cache: RankCache, p: int) -> int:
     elif seq.discriminant % p == 0:
         z = p
     else:
-        e = p - arith.jacobi(seq.discriminant, p)
-        for d in arith.divisors(arith.factor(e)):
-            if cache.pair_mod(d, p)[0] == 0:
-                z = d
-                break
-        else:
-            raise RuntimeError(f"no divisor of {e} is a rank for prime {p}")
+        z = _lift_order(cache.pair_mod, p, p - arith.jacobi(seq.discriminant, p))
     cache._prime_z[p] = z
     return z
 

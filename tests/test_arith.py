@@ -19,6 +19,7 @@ from fibrank import (
     jacobi,
     mobius,
 )
+from fibrank import arith
 from fibrank.arith import mobius_spf_sieve, primes_upto
 
 
@@ -128,6 +129,41 @@ class TestFactor:
             Factorization(12, (PrimePower(3, 1), PrimePower(2, 2)))  # unsorted
         with pytest.raises(ValueError):
             Factorization(12, (PrimePower(2, 2),))  # wrong product
+
+
+class TestFactorSievePath:
+    """n up to the cached sieve limit is factored by smallest-prime-factor
+    division; the sieve is set with monkeypatch so none of it leaks."""
+
+    LIMIT = 4096  # 2^12; LIMIT + 1 = 17 * 241
+
+    def test_matches_unsieved(self, monkeypatch):
+        monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
+        span = range(1, self.LIMIT + 51)
+        unsieved = [factor(n) for n in span]
+        mobius_spf_sieve(self.LIMIT)
+        assert arith._SIEVE[0] == self.LIMIT
+        for n, f in zip(span, unsieved):
+            assert factor(n) == f, n
+            assert as_pairs(f) == trial_factor(n), n
+        assert as_pairs(factor(1)) == []
+        assert as_pairs(factor(4093)) == [(4093, 1)]  # prime
+        assert as_pairs(factor(3**7)) == [(3, 7)]
+        assert as_pairs(factor(self.LIMIT)) == [(2, 12)]
+        assert as_pairs(factor(self.LIMIT + 1)) == [(17, 1), (241, 1)]
+
+    def test_sieve_path_needs_no_primality_test(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) called")
+
+        monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
+        mobius_spf_sieve(self.LIMIT)
+        monkeypatch.setattr(arith, "is_prime", refuse)
+        for n in range(1, self.LIMIT + 1):
+            factor(n)
+        # above the limit, 241 is left after trial division and is tested
+        with pytest.raises(AssertionError, match="241"):
+            factor(self.LIMIT + 1)
 
 
 class TestMobius:

@@ -175,9 +175,9 @@ EXPECTED = {
     "rank 3 --a1 1 --a2 -1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "7b1aa956b5e1a12acf9d08251b6e04c614b2107ce50140b70a49dd46c4d594f6"),
     "rank 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6b87945da48323e8facd348c236d056672e31e0254690ee3eb344e465b42f9e3"),
     "--help": (0, "ecfc7cfb687661f960cbacaf52c895576d1e6eb8958e7ffade1d969a989c7b0b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "count --help": (0, "ce7ad00d925a1fcbb7b3a074fb960b90b3ddb7f34aa54a4f2fc13f2f3b527ee2", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "lowrank --help": (0, "788234df745c616b96f0bb0df11444f4569f67a68fbb28dafaa533a52b86f349", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "witnesses --help": (0, "7aeeaf1c5e86660b9ed0c251110b4a29f46e10d4948516ed60fb645281d29564", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "count --help": (0, "74d8d1181a8355830740fe6468ada73f3f7d6671c2dc966966d6f448b4d3c975", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lowrank --help": (0, "c3ec1b4ed6a18c09c8d051d5d61a2513b8fb9cdd115f9cb35097ff33fcba2745", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "witnesses --help": (0, "b5fdb8be5f736f73b4d77be74faa07b23e1175c8477706adea04b41c1e7c272d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "rank 3 --a1 1 --a2 -3": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "17621f0851608548a1b8048cdda12a0847c892c01f372f420370ba6f9f78879e"),
     "verify-structure 3 --limit 100 --json": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "e872490797388708e53af88289eb88368d97a815715b654717bd92d7c6c1e034"),
     "member 9223372036854775808": (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "14aa7dae290f0c094c76add2a2703103fd77684a4d43de72579c65b579219e1f"),

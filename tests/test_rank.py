@@ -5,7 +5,7 @@ divisibility first, then everything else is measured against it."""
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, strategies as st
 
 from fibrank import (
     FIBONACCI,
@@ -13,14 +13,18 @@ from fibrank import (
     OutOfRangeError,
     RankUndefinedError,
     ell_of,
+    factor,
     fib_exact,
+    fib_pair_mod,
+    lucas_pair_mod,
     lucas_rank,
     rank,
     rank_naive,
     rank_prime,
     rank_prime_power,
 )
-from fibrank.rank import RankCache
+from fibrank.arith import MAX_DIVISORS, primes_upto
+from fibrank.rank import RankCache, _lift_order, _scan_rank
 
 
 def first_fib_multiple(m, bound=2000):
@@ -41,6 +45,27 @@ def pell_rank_scan(m):
         if a == 0:
             return n
     raise AssertionError
+
+
+def divisor_walk_rank(pair_mod, p, disc):
+    """Oracle: least divisor d of p - (disc/p) with p | u_d, for odd p not
+    dividing disc; the Legendre symbol comes from Euler's criterion."""
+    e = p + 1 if pow(disc, (p - 1) // 2, p) == p - 1 else p - 1
+    small = [d for d in range(1, math.isqrt(e) + 1) if e % d == 0]
+    for d in sorted(set(small + [e // d for d in small])):
+        if pair_mod(d, p)[0] == 0:
+            return d
+    raise AssertionError(f"no divisor of {e} is a rank for {p}")
+
+
+@st.composite
+def lucas_params(draw):
+    """Coprime, nondegenerate (a1, a2) with |a1|, |a2| <= 50."""
+    a1, a2 = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    try:
+        return LucasParams(a1, a2)
+    except ValueError:
+        reject()
 
 
 class TestRankNaive:
@@ -71,6 +96,47 @@ class TestRankPrime:
     def test_vs_naive(self):
         for p in (2, 3, 5, 7, 11, 13, 89, 233, 1597, 3571):
             assert rank_prime(p) == rank_naive(p), p
+
+
+class TestLiftedPrimeRank:
+    """z(p) lifted from p - (disc/p) against a divisor walk and a scan."""
+
+    @pytest.mark.parametrize("lucas_algorithms", [False, True])
+    def test_fibonacci_primes_below_5000(self, lucas_algorithms):
+        cache = RankCache(FIBONACCI, lucas_algorithms=lucas_algorithms)
+        for p in primes_upto(4999):
+            z = rank_prime(p, cache)
+            assert z == _scan_rank(FIBONACCI, p, 2 * p + 2), p
+            if p not in (2, 5):
+                assert z == divisor_walk_rank(fib_pair_mod, p, 5), p
+
+    @given(lucas_params())
+    def test_random_lucas_parameters(self, seq):
+        cache = RankCache(seq)
+        pair_mod = lambda n, m: lucas_pair_mod(seq, n, m)
+        for p in primes_upto(1999):
+            if seq.a2 % p == 0:
+                continue
+            z = lucas_rank(seq, p, cache).z
+            if p != 2 and seq.discriminant % p:
+                assert z == divisor_walk_rank(pair_mod, p, seq.discriminant), (seq, p)
+            if p < 200:
+                assert z == _scan_rank(seq, p, 2 * p + 2), (seq, p)
+
+    def test_beyond_the_divisor_cap(self):
+        # p - 1 has more divisors than the divisor enumeration accepts
+        p = 3890749161018119401
+        assert factor(p - 1).tau() == 69984 > MAX_DIVISORS
+        z = rank_prime(p, RankCache())
+        assert z == 58950744863910900
+        assert fib_pair_mod(z, p)[0] == 0
+        for pp in factor(z).factors:
+            assert fib_pair_mod(z // pp.p, p)[0] != 0, pp.p
+
+    def test_non_multiple_is_a_bug(self):
+        # z(7) = 8 does not divide 7
+        with pytest.raises(RuntimeError):
+            _lift_order(fib_pair_mod, 7, 7)
 
 
 class TestRankPrimePower:
