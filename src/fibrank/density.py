@@ -167,24 +167,14 @@ def _series(cache: RankCache, k: int, depth: int, *, coprime_to_k: bool, threads
         raise OutOfRangeError(f"series depth {depth} above cap {SERIES_DEPTH_CAP}")
     _require_rank_defined(cache, k)
     _check_threads(threads)
-    a2 = cache.seq.a2
+    # gcd(d, ab) = 1 iff gcd(d, a) = gcd(d, b) = 1, so one gcd skips the d sharing a
+    # factor with a2 and, for the B_k series, with k
+    avoid = abs(cache.seq.a2) * (k if coprime_to_k else 1)
     mu, spf = arith.mobius_spf_sieve(4 * depth)
     ell_dk = _EllOfDK(cache, k, spf)
-    filter_a2 = abs(a2) != 1
-    filter_k = coprime_to_k and k != 1
     gcd = math.gcd
-
-    def accepted(d):
-        if mu[d] == 0:
-            return False
-        if filter_k and gcd(d, k) != 1:
-            return False
-        if filter_a2 and gcd(d, a2) != 1:
-            return False
-        return True
-
-    partial = _exact_sum(Fraction(mu[d], ell_dk(d)) for d in range(1, depth + 1) if accepted(d))
-    tail = _exact_sum(Fraction(1, ell_dk(d)) for d in range(depth + 1, 4 * depth + 1) if accepted(d))
+    partial = _exact_sum(Fraction(mu[d], ell_dk(d)) for d in range(1, depth + 1) if mu[d] and gcd(d, avoid) == 1)
+    tail = _exact_sum(Fraction(1, ell_dk(d)) for d in range(depth + 1, 4 * depth + 1) if mu[d] and gcd(d, avoid) == 1)
     return SeriesApproximation(k, depth, partial, tail, float(partial))
 
 

@@ -7,13 +7,15 @@ pass; the threads arguments are validated and otherwise ignored.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import arith, rank as rank_mod
 from .arith import OutOfRangeError
 from .density import GeneratorSet, NonMemberError, _check_threads, _exact_sum, is_member
-from .fib import FIBONACCI, LucasParams, fib_pair_mod, lucas_pair_mod
+from .fib import FIBONACCI, LucasParams, gcd_n_fib, gcd_n_lucas
 from .rank import RankCache, _resolve
 
 SCAN_CAP = 10**8
@@ -45,19 +47,35 @@ def _checkpoints(checkpoints: list[int] | None, x: int) -> list[int]:
     return checkpoints
 
 
+def _rows(hits: list[int], checkpoints: list[int], power=1) -> list[ScanRow]:
+    """One row per checkpoint cp: the sorted hits <= cp, over cp**power."""
+    counts = [bisect_right(hits, cp) for cp in checkpoints]
+    return [ScanRow(cp, count, count / cp**power) for cp, count in zip(checkpoints, counts)]
+
+
+def _gcd_n(seq: LucasParams):
+    """n -> gcd(n, u_n) for seq."""
+    return gcd_n_fib if seq.is_fibonacci else partial(gcd_n_lucas, seq)
+
+
+def _nonmultiples(gens, x: int) -> bytearray:
+    """allowed[m] = 1 for the m <= x that no element of gens divides."""
+    allowed = bytearray([1]) * (x + 1)
+    for gen in gens:
+        if gen <= x:
+            allowed[gen::gen] = bytes(len(range(gen, x + 1, gen)))
+    return allowed
+
+
 def _gcd_block(seq: LucasParams, lo: int, hi: int, wanted, witness_cap: int, counts: dict, wits: dict):
     """Add the tallies of gcd(n, u_n) for lo <= n <= hi into counts and wits.
 
     wanted is a set of k values to track, or None for all of them; wits
     keeps the first witness_cap n of each k.
     """
-    gcd = math.gcd
-    fibonacci = seq.is_fibonacci
+    gcd_n = _gcd_n(seq)
     for n in range(lo, hi + 1):
-        if fibonacci:
-            g = gcd(n, fib_pair_mod(n, n)[0])
-        else:
-            g = gcd(n, lucas_pair_mod(seq, n, n)[0])
+        g = gcd_n(n)
         if wanted is not None and g not in wanted:
             continue
         counts[g] = counts.get(g, 0) + 1
@@ -160,16 +178,11 @@ def verify_structure(k: int, x: int, cache: RankCache | None = None) -> bool:
         if ratio <= cap:
             small_gens.add(ratio)
 
-    allowed = bytearray([1]) * (cap + 1)
-    for gen in small_gens:
-        allowed[gen::gen] = bytes(len(range(gen, cap + 1, gen)))
+    allowed = _nonmultiples(small_gens, cap)
     structural = [ell_k * m for m in range(1, cap + 1) if allowed[m]]
 
-    gcd = math.gcd
-    if seq.is_fibonacci:
-        enumerated = [n for n in range(1, x + 1) if gcd(n, fib_pair_mod(n, n)[0]) == k]
-    else:
-        enumerated = [n for n in range(1, x + 1) if gcd(n, lucas_pair_mod(seq, n, n)[0]) == k]
+    gcd_n = _gcd_n(seq)
+    enumerated = [n for n in range(1, x + 1) if gcd_n(n) == k]
     return structural == enumerated
 
 
@@ -187,23 +200,21 @@ def scan_B(
     """
     if not 1 <= x <= B_SCAN_CAP:
         raise OutOfRangeError(f"membership scan limit {x} outside [1, {B_SCAN_CAP}]")
-    cp_set = set(_checkpoints(checkpoints, x))
+    checkpoints = _checkpoints(checkpoints, x)
     _check_threads(threads)
     cache = _resolve(cache)
     a2 = cache.seq.a2
     gcd = math.gcd
-    rows = []
-    members = unknown = 0
+    members = []
+    unknown = 0
     for k in range(1, x + 1):
         if gcd(k, a2) == 1:
             try:
                 if is_member(k, cache).member:
-                    members += 1
+                    members.append(k)
             except OutOfRangeError:
                 unknown += 1
-        if k in cp_set:
-            rows.append(ScanRow(k, members, members / k))
-    return rows, unknown
+    return _rows(members, checkpoints), unknown
 
 
 def scan_low_rank_primes(
@@ -230,21 +241,12 @@ def scan_low_rank_primes(
     cache = _resolve(cache)
     a, q = gamma.numerator, gamma.denominator
     a2 = cache.seq.a2
-    rows = []
-    count = 0
-    cp_iter = iter(checkpoints)
-    next_cp = next(cp_iter)
-    for p in arith.primes_upto(x) + [None]:
-        while next_cp is not None and (p is None or p > next_cp):
-            rows.append(ScanRow(next_cp, count, count / next_cp ** (2 * float(gamma))))
-            next_cp = next(cp_iter, None)
-        if p is None or next_cp is None:
-            break
-        if math.gcd(p, a2) != 1:
-            continue
-        if cache._prime_rank(p) ** q <= p**a:
-            count += 1
-    return rows
+    low = [
+        p
+        for p in arith.primes_upto(checkpoints[-1])
+        if math.gcd(p, a2) == 1 and cache._prime_rank(p) ** q <= p**a
+    ]
+    return _rows(low, checkpoints, 2 * float(gamma))
 
 
 def partial_ell_sum(N: int, cache: RankCache | None = None) -> Fraction:
@@ -270,8 +272,4 @@ def nonmultiple_density(g: GeneratorSet, x: int) -> Fraction:
         raise ValueError(f"need x >= 1, got {x}")
     if x > STRUCTURE_CAP:
         raise OutOfRangeError(f"nonmultiple sieve limit {x} above cap {STRUCTURE_CAP}")
-    allowed = bytearray([1]) * (x + 1)
-    for gen in g.elements():
-        if gen <= x:
-            allowed[gen::gen] = bytes(len(range(gen, x + 1, gen)))
-    return Fraction(sum(allowed[1:]), x)
+    return Fraction(sum(_nonmultiples(g.elements(), x)[1:]), x)

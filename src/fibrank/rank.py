@@ -75,30 +75,33 @@ class RankCache:
         self._records.clear()
 
 
-_DEFAULT_CACHES: dict[tuple[int, int, bool], RankCache] = {}
-
-
-def _shared_cache(seq: LucasParams, lucas_algorithms: bool) -> RankCache:
-    key = (seq.a1, seq.a2, lucas_algorithms)
-    cache = _DEFAULT_CACHES.get(key)
-    if cache is None:
-        cache = _DEFAULT_CACHES.setdefault(key, RankCache(seq, lucas_algorithms=lucas_algorithms))
-    return cache
+_DEFAULT_CACHES: dict[LucasParams, RankCache] = {}
 
 
 def default_cache(seq: LucasParams = FIBONACCI) -> RankCache:
     """Shared per-sequence cache; created on first use."""
-    return _shared_cache(seq, not seq.is_fibonacci)
+    cache = _DEFAULT_CACHES.get(seq)
+    if cache is None:
+        cache = _DEFAULT_CACHES.setdefault(seq, RankCache(seq))
+    return cache
 
 
 def _resolve(cache: RankCache | None) -> RankCache:
     return cache if cache is not None else default_cache()
 
 
+def _fibonacci_cache(cache: RankCache | None, caller: str) -> RankCache:
+    """cache (or the shared Fibonacci cache) if it was built for Fibonacci."""
+    cache = _resolve(cache)
+    if not cache.seq.is_fibonacci:
+        raise ValueError(f"{caller}() needs a Fibonacci cache; use lucas_rank for other sequences")
+    return cache
+
+
 def _cache_for(seq: LucasParams, cache: RankCache | None) -> RankCache:
-    """The shared Lucas-algorithm cache of seq, or cache if it was built for seq."""
+    """The shared cache of seq, or cache if it was built for seq."""
     if cache is None:
-        return _shared_cache(seq, True)
+        return default_cache(seq)
     if cache.seq != seq:
         raise ValueError("cache was built for different Lucas parameters")
     return cache
@@ -213,7 +216,7 @@ def rank_prime(p: int, cache: RankCache | None = None) -> int:
     """z(p) for prime p in the Fibonacci sequence."""
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _resolve(cache)._prime_rank(p)
+    return _fibonacci_cache(cache, "rank_prime")._prime_rank(p)
 
 
 def rank_prime_power(p: int, e: int, cache: RankCache | None = None) -> int:
@@ -222,15 +225,12 @@ def rank_prime_power(p: int, e: int, cache: RankCache | None = None) -> int:
         raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError(f"need e >= 1, got {e}")
-    return _prime_power_rank(_resolve(cache), p, e)
+    return _prime_power_rank(_fibonacci_cache(cache, "rank_prime_power"), p, e)
 
 
 def rank(m: int, cache: RankCache | None = None) -> RankRecord:
     """RankRecord (m, z(m), ell(m)) for the Fibonacci sequence."""
-    cache = _resolve(cache)
-    if not cache.seq.is_fibonacci:
-        raise ValueError("rank() needs a Fibonacci cache; use lucas_rank for other sequences")
-    return _rank_with(cache, m)
+    return _rank_with(_fibonacci_cache(cache, "rank"), m)
 
 
 def rank_naive(m: int, limit: int | None = None) -> int:

@@ -228,3 +228,50 @@ class TestNonmultipleDensity:
         g = lk_generators(1, 100)
         measured = nonmultiple_density(g, 100_000)
         assert measured >= heilbronn_lower_bound(g) - Fraction(2, 100)
+
+
+def small_lucas_params(bound):
+    """Every nondegenerate coprime (a1, a2) with |a1|, |a2| <= bound."""
+    out = []
+    for a1 in range(-bound, bound + 1):
+        for a2 in range(-bound, bound + 1):
+            try:
+                out.append(LucasParams(a1, a2))
+            except ValueError:
+                pass
+    return out
+
+
+class TestLucasGridDifferential:
+    """The membership criterion against direct enumeration of gcd(n, u_n),
+    over every small Lucas parameter pair, not only (1, 1) and (2, 1)."""
+
+    def test_membership_vs_enumeration(self):
+        from fibrank import lucas_is_member
+
+        cases = 0
+        for seq in small_lucas_params(9):
+            for k in range(1, 31):
+                if math.gcd(k, seq.a2) != 1:
+                    continue
+                verdict = lucas_is_member(seq, k)
+                # the least element of a nonempty A_k is ell(k), so a scan to
+                # ell(k) finds k exactly for members
+                report = count_Ak(k, verdict.ell_k, witness_cap=1, seq=seq)[0]
+                assert verdict.member == (report.count > 0), (seq, k)
+                if verdict.member:
+                    assert report.witnesses[0] == verdict.ell_k, (seq, k)
+                cases += 1
+        assert cases == 4540
+
+    def test_structure_small_parameters(self):
+        from fibrank import default_cache, lucas_is_member
+
+        checked = 0
+        for seq in small_lucas_params(4):
+            cache = default_cache(seq)
+            for k in range(1, 13):
+                if math.gcd(k, seq.a2) == 1 and lucas_is_member(seq, k, cache).member:
+                    assert verify_structure(k, 1000, cache), (seq, k)
+                    checked += 1
+        assert checked == 234

@@ -97,6 +97,12 @@ class TestRankPrime:
         for p in (2, 3, 5, 7, 11, 13, 89, 233, 1597, 3571):
             assert rank_prime(p) == rank_naive(p), p
 
+    def test_rejects_lucas_cache(self):
+        # z(7) = 6 for Pell but 8 for Fibonacci
+        with pytest.raises(ValueError):
+            rank_prime(7, RankCache(LucasParams(2, 1)))
+        assert rank_prime(7, RankCache(FIBONACCI, lucas_algorithms=True)) == 8
+
 
 class TestLiftedPrimeRank:
     """z(p) lifted from p - (disc/p) against a divisor walk and a scan."""
@@ -158,6 +164,12 @@ class TestRankPrimePower:
     def test_overflow(self):
         with pytest.raises(OutOfRangeError):
             rank_prime_power(3, 41)
+
+    def test_rejects_lucas_cache(self):
+        # z(49) = 42 for Pell but 56 for Fibonacci
+        with pytest.raises(ValueError):
+            rank_prime_power(7, 2, RankCache(LucasParams(2, 1)))
+        assert rank_prime_power(7, 2, RankCache(FIBONACCI, lucas_algorithms=True)) == 56
 
 
 class TestRank:
