@@ -158,7 +158,10 @@ class _EllOfDK:
         return arith.checked_lcm(d * self.k, z)
 
 
-def _series(cache: RankCache, k: int, depth: int, *, coprime_to_k: bool, threads: int) -> SeriesApproximation:
+def _window(cache: RankCache, k: int, depth: int, coprime_to_k: bool, threads: int):
+    """Validate a depth-`depth` series for k and return what its sums read:
+    the Mobius sieve to 4*depth, ell(dk) as an _EllOfDK, and the modulus
+    avoid that every summed d must be coprime to."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if depth < 1:
@@ -171,9 +174,20 @@ def _series(cache: RankCache, k: int, depth: int, *, coprime_to_k: bool, threads
     # factor with a2 and, for the B_k series, with k
     avoid = abs(cache.seq.a2) * (k if coprime_to_k else 1)
     mu, spf = arith.mobius_spf_sieve(4 * depth)
-    ell_dk = _EllOfDK(cache, k, spf)
+    return mu, _EllOfDK(cache, k, spf), avoid
+
+
+def _partial_sum(window, depth: int) -> Fraction:
+    """sum of mu(d)/ell(dk) over the d <= depth that the window admits."""
+    mu, ell_dk, avoid = window
     gcd = math.gcd
-    partial = _exact_sum(Fraction(mu[d], ell_dk(d)) for d in range(1, depth + 1) if mu[d] and gcd(d, avoid) == 1)
+    return _exact_sum(Fraction(mu[d], ell_dk(d)) for d in range(1, depth + 1) if mu[d] and gcd(d, avoid) == 1)
+
+
+def _series(cache: RankCache, k: int, depth: int, *, coprime_to_k: bool, threads: int) -> SeriesApproximation:
+    window = mu, ell_dk, avoid = _window(cache, k, depth, coprime_to_k, threads)
+    partial = _partial_sum(window, depth)
+    gcd = math.gcd
     tail = _exact_sum(Fraction(1, ell_dk(d)) for d in range(depth + 1, 4 * depth + 1) if mu[d] and gcd(d, avoid) == 1)
     return SeriesApproximation(k, depth, partial, tail, float(partial))
 
@@ -233,14 +247,13 @@ def inclusion_exclusion_check(
     both sides cover exactly the squarefree f <= depth; the gap must be 0.
     """
     cache = _resolve(cache)
-    lhs = _series(cache, k, depth, coprime_to_k=False, threads=threads).partial_sum
+    lhs = _partial_sum(_window(cache, k, depth, False, threads), depth)
     rhs = Fraction(0)
     for d in arith.divisors(arith.factor(k)):
         md = arith.mobius(arith.factor(d))
         if md == 0 or depth // d == 0:
             continue
-        inner = _series(cache, d * k, depth // d, coprime_to_k=True, threads=threads)
-        rhs += md * inner.partial_sum
+        rhs += md * _partial_sum(_window(cache, d * k, depth // d, True, threads), depth // d)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -257,10 +270,17 @@ def lk_generators(k: int, p_bound: int, cache: RankCache | None = None) -> Gener
     verdict = is_member(k, cache)
     if not verdict.member:
         raise NonMemberError(f"A_{k} is empty; L_{k} is defined only for members")
+    return _generators(cache, verdict, arith.primes_upto(p_bound), p_bound)
+
+
+def _generators(cache: RankCache, verdict: MembershipVerdict, primes: list[int], bound: int) -> GeneratorSet:
+    """L_k for the member verdict.k: its primes plus the ratio ell(kp)/ell(k)
+    for each p in the sorted list primes that divides neither k nor a2."""
+    k = verdict.k
     a2 = cache.seq.a2
     prime_part = tuple(pp.p for pp in arith.factor(k).factors)
     ratios = []
-    for p in arith.primes_upto(p_bound):
+    for p in primes:
         if k % p == 0 or math.gcd(p, a2) != 1:
             continue
         ell_kp = rank_mod._rank_with(cache, k * p).ell
@@ -268,7 +288,7 @@ def lk_generators(k: int, p_bound: int, cache: RankCache | None = None) -> Gener
         if rem:
             raise RuntimeError(f"ell({k}*{p}) not divisible by ell({k}); this indicates a bug")
         ratios.append((p, ratio))
-    return GeneratorSet(k, prime_part, tuple(ratios), p_bound)
+    return GeneratorSet(k, prime_part, tuple(ratios), bound)
 
 
 def heilbronn_lower_bound(g: GeneratorSet) -> Fraction:

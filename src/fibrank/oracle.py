@@ -1,9 +1,13 @@
 """Brute-force enumeration oracles.
 
-Everything here counts by direct evaluation of gcd(n, F_n) (or a naive
-sieve), never through the rank/density formulas being tested, so these
-results can ground the formula-based paths.  Every scan is one serial
-pass; the threads arguments are validated and otherwise ignored.
+The enumeration halves are formula-free: count_many, count_Ak and the
+enumerated side of verify_structure evaluate gcd(n, u_n) directly, and
+nonmultiple_density is a naive sieve, so these results can ground the
+formula-based paths.  The rest goes through ranks: the structural side of
+verify_structure builds L_k from ell(kp), scan_B applies the membership
+criterion, scan_low_rank_primes compares z(p) with p^gamma and
+partial_ell_sum sums 1/ell(n).  Every scan is one serial pass; the threads
+arguments are validated and otherwise ignored.
 """
 
 import math
@@ -14,7 +18,7 @@ from functools import partial
 
 from . import arith, rank as rank_mod
 from .arith import OutOfRangeError
-from .density import GeneratorSet, NonMemberError, _check_threads, _exact_sum, is_member
+from .density import GeneratorSet, NonMemberError, _check_threads, _exact_sum, _generators, is_member
 from .fib import FIBONACCI, LucasParams, gcd_n_fib, gcd_n_lucas
 from .rank import RankCache, _resolve
 
@@ -146,13 +150,13 @@ def count_Ak(
 
 
 def verify_structure(k: int, x: int, cache: RankCache | None = None) -> bool:
-    """Check A_k(x) = {ell(k) m <= x : no element of L_k divides m} by
-    enumerating both sides independently.
+    """Check A_k(x) = {ell(k) m <= x : no element of L_k divides m}, with
+    L_k built as lk_generators builds it and A_k(x) enumerated directly.
 
-    Only finitely many generators matter: a generator can exclude some
-    m <= x/ell(k) only if it is <= m.  A ratio for prime p is divisible by
-    p unless p | z(k), so collecting primes p <= x plus the primes of z(k)
-    covers every generator that could be <= x.
+    Only generators <= cap = x // ell(k) can exclude some m <= cap.  For a
+    prime p dividing neither k nor z(k), p divides ell(kp)/ell(k), so that
+    ratio is >= p: the primes p <= cap plus the primes of z(k) cover every
+    generator <= cap.
     """
     if not 1 <= x <= STRUCTURE_CAP:
         raise OutOfRangeError(f"structure scan limit {x} outside [1, {STRUCTURE_CAP}]")
@@ -160,28 +164,14 @@ def verify_structure(k: int, x: int, cache: RankCache | None = None) -> bool:
     verdict = is_member(k, cache)
     if not verdict.member:
         raise NonMemberError(f"A_{k} is empty; the structural decomposition needs a member")
-    seq = cache.seq
     ell_k = verdict.ell_k
     cap = x // ell_k
-
-    z_k = rank_mod._rank_with(cache, k).z
-    candidates = set(arith.primes_upto(x))
-    candidates.update(pp.p for pp in arith.factor(z_k).factors)
-    small_gens = set()
-    for p in sorted(candidates):
-        if math.gcd(p, seq.a2) != 1:
-            continue
-        if k % p == 0:
-            small_gens.add(p)
-            continue
-        ratio = rank_mod._rank_with(cache, k * p).ell // ell_k
-        if ratio <= cap:
-            small_gens.add(ratio)
-
-    allowed = _nonmultiples(small_gens, cap)
+    z_primes = (pp.p for pp in arith.factor(rank_mod._rank_with(cache, k).z).factors)
+    gens = _generators(cache, verdict, sorted(set(arith.primes_upto(cap)).union(z_primes)), cap)
+    allowed = _nonmultiples(gens.elements(), cap)
     structural = [ell_k * m for m in range(1, cap + 1) if allowed[m]]
 
-    gcd_n = _gcd_n(seq)
+    gcd_n = _gcd_n(cache.seq)
     enumerated = [n for n in range(1, x + 1) if gcd_n(n) == k]
     return structural == enumerated
 

@@ -42,10 +42,6 @@ class RankCache:
     valid at (a1, a2) = (1, 1) and can be forced there to cross-check the
     generalization against the specialized path).  Both the algorithm and
     pair_mod are looked up when the cache is built, not at import time.
-
-    Safe for concurrent use: lookups and inserts are GIL-atomic dict
-    operations and every insert is idempotent, so the worst race is a
-    duplicated computation, never an inconsistent value.
     """
 
     def __init__(self, seq: LucasParams = FIBONACCI, *, lucas_algorithms: bool | None = None):

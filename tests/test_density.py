@@ -176,6 +176,23 @@ class TestInclusionExclusion:
     def test_gap_always_exactly_zero(self, k, depth):
         assert inclusion_exclusion_check(k, depth)[2] == 0
 
+    def test_sums_no_tail_window(self, monkeypatch):
+        # the check compares partial sums only, so no d beyond depth is evaluated;
+        # a series still evaluates its tail window up to 4 * depth
+        call = _EllOfDK.__call__
+        largest = [0]
+
+        def recording(self, d):
+            largest[0] = max(largest[0], d)
+            return call(self, d)
+
+        monkeypatch.setattr(_EllOfDK, "__call__", recording)
+        inclusion_exclusion_check(12, 300, RankCache())
+        assert 0 < largest[0] <= 300
+        largest[0] = 0
+        density_series(12, 300, RankCache())
+        assert largest[0] == 1199  # 11 * 109, the largest squarefree d <= 1200
+
 
 class TestGenerators:
     def test_k1_example(self):

@@ -104,6 +104,44 @@ class TestVerifyStructure:
         with pytest.raises(OutOfRangeError):
             verify_structure(1, 10**7 + 1)
 
+    @pytest.mark.parametrize(
+        ("seq", "k", "x"),
+        [(FIBONACCI, 29, 2500), (LucasParams(3, -2), 11, 400), (LucasParams(3, 1), 23, 2500)],
+        ids=["fibonacci-29", "(3,-2)-11", "(3,1)-23"],
+    )
+    def test_primes_of_z_k_above_cap(self, seq, k, x):
+        # a prime of z(k) above cap = x // ell(k) can still give a ratio <= cap:
+        # Fibonacci ell(29) = 406 and cap = 6, yet 7 | z(29) = 14 gives the ratio 4
+        from fibrank import RankCache
+
+        assert verify_structure(k, x, RankCache(seq))
+
+    def test_ranks_no_prime_above_cap(self, monkeypatch):
+        # ell(2) = 6, so only generators <= cap = 3000 // 6 = 500 matter; every
+        # prime above it divides neither 2 nor z(2) = 3, so its ratio is > 500
+        import importlib
+
+        from fibrank import RankCache
+
+        rank_module = importlib.import_module("fibrank.rank")
+        rank_with = rank_module._rank_with
+        ranked = []
+
+        def recording(cache, m):
+            ranked.append(m)
+            return rank_with(cache, m)
+
+        monkeypatch.setattr(rank_module, "_rank_with", recording)
+        assert verify_structure(2, 3000, RankCache())
+        primes = {m // 2 for m in ranked if m % 2 == 0}
+        assert 499 in primes
+        assert max(primes) <= 500
+
+    def test_member_with_ell_above_x(self):
+        # ell(1000003) = 1000007000012 > x, so A_k(x) is empty and no generator
+        # matters; ranking k * p for every prime p <= x overflowed 64 bits
+        assert verify_structure(1_000_003, 10_000)
+
 
 class TestScanB:
     def test_x10(self):
