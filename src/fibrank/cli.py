@@ -6,10 +6,14 @@ to stdout as text (default), JSON (--json, schema_version 1, exact
 rationals rendered as "numerator/denominator" strings) or CSV (--csv,
 floats with 15 significant digits).  Warnings and errors go to stderr.
 
-Each subcommand is one _Command spec: its arguments, its JSON params keys,
-one call into the library with the sequence's shared RankCache, and a text
-template.  The call returns a result dict that keeps exact values typed;
-JSON, CSV and text are all rendered from it by _emit.
+Each subcommand is one _Command spec: its arguments, one call into the
+library with the sequence's shared RankCache, a text template and a CSV
+header.  The JSON params echo every argument of the spec under its dest
+name, except count --witnesses.  The call returns a result dict that keeps
+exact values typed; JSON, CSV and text are all rendered from it by _emit.
+
+--threads takes FIBRANK_THREADS as its default and validates it the same
+way, so an invalid value of either exits 2 on every subcommand.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (rank undefined,
 non-member where a member is required), 4 overflow / out of range,
@@ -24,6 +28,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from . import oracle
@@ -77,13 +82,13 @@ def _frac_str(f: Fraction) -> str:
 
 class _Command(NamedTuple):
     help: str
-    args: tuple  # (name, add_argument keywords) pairs
-    params: tuple  # argument names echoed as JSON params, in order; None is left out
+    args: tuple  # (name, add_argument keywords) pairs, echoed in order as JSON params; None is left out
     run: Callable  # (args, cache, threads) -> result dict
     text: Callable  # result with fractions as "n/d" strings -> text output
     csv: tuple  # CSV header: result keys, or keys of csv_rows' rows
     csv_rows: Callable | None = None  # result -> CSV rows; default: result["rows"], else [result]
     warnings: tuple = ()
+    quiet: tuple = ()  # argument dests left out of the JSON params
 
 
 _K = ("k", {"type": _positive})
@@ -109,7 +114,6 @@ def _series_command(help_, series):
     return _Command(
         help_,
         (_K, _DEPTH),
-        ("k", "depth"),
         run,
         lambda r: (
             f"k = {r['k']}: partial_sum = {r['partial_sum']} ~ {r['float_value']:.15g} "
@@ -194,15 +198,14 @@ def _nonmult(a, cache, threads):
 
 
 def _witnesses(a, cache, threads):
-    report = oracle.count_Ak(a.k, a.limit, witness_cap=a.max, seq=cache.seq, threads=threads)[-1]
-    return {"k": a.k, "limit": a.limit, "witnesses": list(report.witnesses)}
+    first = islice(oracle.iter_Ak(a.k, a.limit, seq=cache.seq), a.max)
+    return {"k": a.k, "limit": a.limit, "witnesses": list(first)}
 
 
 _COMMANDS = {
     "rank": _Command(
         "rank of appearance z(M) and ell(M)",
         (("m", {"type": _positive}),),
-        ("m",),
         lambda a, cache, threads: asdict(lucas_rank(cache.seq, a.m, cache)),
         lambda r: f"z({r['m']}) = {r['z']}, ell({r['m']}) = {r['ell']}",
         ("m", "z", "ell"),
@@ -210,7 +213,6 @@ _COMMANDS = {
     "ell": _Command(
         "ell(M) = lcm(M, z(M))",
         (("m", {"type": _positive}),),
-        ("m",),
         lambda a, cache, threads: {"m": a.m, "ell": lucas_rank(cache.seq, a.m, cache).ell},
         lambda r: f"ell({r['m']}) = {r['ell']}",
         ("m", "ell"),
@@ -218,7 +220,6 @@ _COMMANDS = {
     "member": _Command(
         "decide whether A_K is nonempty",
         (_K,),
-        ("k",),
         _member,
         lambda r: (
             f"k = {r['k']}: member = {'yes' if r['member'] else 'no'} (ell = {r['ell']}, gcd = {r['gcd']})"
@@ -230,7 +231,6 @@ _COMMANDS = {
     "iecheck": _Command(
         "inclusion-exclusion identity check on aligned support",
         (_K, _DEPTH),
-        ("k", "depth"),
         _iecheck,
         lambda r: (
             f"k = {r['k']}: lhs = {r['lhs']}, rhs = {r['rhs']}, "
@@ -246,16 +246,15 @@ _COMMANDS = {
             _CHECKPOINTS,
             ("--witnesses", {"type": _nonnegative, "default": 0, "help": "include the first W witnesses"}),
         ),
-        ("k", "limit", "checkpoints"),
         _count,
         _count_text,
         ("k", "x", "count", "ratio"),
         csv_rows=lambda r: [{"k": r["k"], **rep} for rep in r["reports"]],
+        quiet=("witnesses",),
     ),
     "verify-structure": _Command(
         "check A_K = ell(K) * nonmultiples(L_K)",
         (_K, _LIMIT),
-        ("k", "limit"),
         lambda a, cache, threads: {
             "k": a.k, "limit": a.limit, "verified": oracle.verify_structure(a.k, a.limit, cache)
         },
@@ -267,7 +266,6 @@ _COMMANDS = {
     "scan-b": _Command(
         "#B(x) = #{k <= x : A_k nonempty}",
         (_LIMIT, _CHECKPOINTS),
-        ("limit", "checkpoints"),
         _scan_b,
         _scan_b_text,
         ("x", "count", "ratio", "ratio_logx"),
@@ -275,7 +273,6 @@ _COMMANDS = {
     "lowrank": _Command(
         "primes with z(p) <= p^gamma",
         (("--gamma", {"type": _gamma, "required": True, "metavar": "A/Q"}), _LIMIT, _CHECKPOINTS),
-        ("gamma", "limit", "checkpoints"),
         lambda a, cache, threads: {
             "rows": [asdict(r) for r in oracle.scan_low_rank_primes(a.gamma, a.limit, a.checkpoints, cache)]
         },
@@ -287,7 +284,6 @@ _COMMANDS = {
     "ellsum": _Command(
         "partial sum of 1/ell(n)",
         (_LIMIT,),
-        ("limit",),
         _ellsum,
         lambda r: f"sum 1/ell(n), n <= {r['limit']}: {r['sum']} ~ {r['float_value']:.15g}",
         ("limit", "sum"),
@@ -295,7 +291,6 @@ _COMMANDS = {
     "nonmult": _Command(
         "density of nonmultiples of L_K vs Heilbronn bound",
         (_K, ("--pbound", {"type": _positive, "required": True}), _LIMIT),
-        ("k", "pbound", "limit"),
         _nonmult,
         lambda r: (
             f"k = {r['k']}: measured density {r['density_float']:.6g}, "
@@ -312,7 +307,6 @@ _COMMANDS = {
             ("--max", {"type": _positive, "default": 10, "metavar": "MAX_WITNESSES"}),
             ("--limit", {"type": _positive, "default": 10**6}),
         ),
-        ("k", "max", "limit"),
         _witnesses,
         lambda r: f"A_{r['k']} up to {r['limit']}: {r['witnesses']}",
         ("k", "n"),
@@ -333,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=_nonnegative,
-        default=None,
+        default=os.environ.get("FIBRANK_THREADS") or "1",
         help="validated (>= 0), otherwise ignored: every job runs in one thread (default: FIBRANK_THREADS or 1)",
     )
     common.add_argument("--seed", type=int, default=None, help="accepted and ignored; no randomness affects results")
@@ -348,47 +342,49 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args):
-    """Run one subcommand.  Returns (params, result, warnings, csv_table)."""
+    """Run one subcommand.  Returns (params, result)."""
     command = _COMMANDS[args.command]
     seq = LucasParams(args.a1, args.a2)
-    threads = args.threads if args.threads is not None else int(os.environ.get("FIBRANK_THREADS") or 1)
     if getattr(args, "checkpoints", None):
         args.checkpoints = sorted(set(args.checkpoints))
     params = {"a1": seq.a1, "a2": seq.a2}
-    params.update((key, getattr(args, key)) for key in command.params if getattr(args, key) is not None)
-    result = command.run(args, default_cache(seq), threads)
-    rows = command.csv_rows(result) if command.csv_rows else result.get("rows", [result])
-    return params, result, list(command.warnings), (command.csv, rows)
+    for name, _ in command.args:
+        key = name.lstrip("-")
+        if key not in command.quiet and getattr(args, key) is not None:
+            params[key] = getattr(args, key)
+    return params, command.run(args, default_cache(seq), args.threads)
 
 
 def _csv_cell(value) -> str:
     return format(float(value), ".15g") if isinstance(value, (Fraction, float)) else str(value)
 
 
-def _emit(cmd, params, result, warnings, table, fmt):
-    """Print a result: exact fractions become "n/d" in JSON and text, and
-    fractions and floats become 15 significant digits in CSV."""
+def _emit(cmd, params, result, fmt):
+    """Print a result as the spec of cmd says: exact fractions become "n/d"
+    in JSON and text, and fractions and floats become 15 significant digits
+    in CSV."""
+    command = _COMMANDS[cmd]
     if fmt == "json":
         record = {
             "schema_version": SCHEMA_VERSION,
             "command": cmd,
             "params": params,
             "result": result,
-            "warnings": warnings,
+            "warnings": command.warnings,
         }
         # Fraction is the only type in a record that JSON lacks
         print(json.dumps(record, separators=(",", ":"), default=_frac_str))
         return
-    for w in warnings:
+    for w in command.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if fmt == "csv":
-        header, rows = table
+        rows = command.csv_rows(result) if command.csv_rows else result.get("rows", [result])
         print(f"# fibrank schema_version={SCHEMA_VERSION} command={cmd}")
-        print(",".join(header))
+        print(",".join(command.csv))
         for row in rows:
-            print(",".join(_csv_cell(row[h]) for h in header))
+            print(",".join(_csv_cell(row[h]) for h in command.csv))
         return
-    print(_COMMANDS[cmd].text({k: _frac_str(v) if isinstance(v, Fraction) else v for k, v in result.items()}))
+    print(command.text({k: _frac_str(v) if isinstance(v, Fraction) else v for k, v in result.items()}))
 
 
 def main(argv=None) -> int:
@@ -402,7 +398,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        params, result, warnings, table = _dispatch(args)
+        params, result = _dispatch(args)
     except (RankUndefinedError, NonMemberError) as exc:
         print(f"error: domain: {exc}", file=sys.stderr)
         return 3
@@ -412,7 +408,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
-    _emit(args.command, params, result, warnings, table, args.fmt)
+    _emit(args.command, params, result, args.fmt)
     return 0
 
 

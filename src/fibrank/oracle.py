@@ -1,7 +1,7 @@
 """Brute-force enumeration oracles.
 
-The enumeration halves are formula-free: count_many, count_Ak and the
-enumerated side of verify_structure evaluate gcd(n, u_n) directly, and
+The enumeration halves are formula-free: count_many, count_Ak, iter_Ak and
+the enumerated side of verify_structure evaluate gcd(n, u_n) directly, and
 nonmultiple_density is a naive sieve, so these results can ground the
 formula-based paths.  The rest goes through ranks: the structural side of
 verify_structure builds L_k from ell(kp), scan_B applies the membership
@@ -119,7 +119,7 @@ def count_many(
         _gcd_block(seq, lo, cp, wanted, witness_cap, running, first_wits)
         at_checkpoint[cp] = dict(running)
         lo = cp + 1
-    if lo <= x:  # ks = None reports every gcd value up to x, not only up to the last checkpoint
+    if ks is None and lo <= x:  # every gcd value up to x, not only up to the last checkpoint
         _gcd_block(seq, lo, x, wanted, witness_cap, running, first_wits)
 
     keys = sorted(running) if ks is None else list(ks)
@@ -149,6 +149,19 @@ def count_Ak(
     return count_many([k], x, checkpoints, witness_cap=witness_cap, seq=seq, threads=threads)[k]
 
 
+def iter_Ak(k: int, x: int, *, seq: LucasParams = FIBONACCI):
+    """The n <= x with gcd(n, u_n) = k, in increasing order, evaluated lazily.
+
+    k and x are checked as count_Ak checks them, when iter_Ak is called.
+    """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    if not 1 <= x <= SCAN_CAP:
+        raise OutOfRangeError(f"scan limit {x} outside [1, {SCAN_CAP}]")
+    gcd_n = _gcd_n(seq)
+    return (n for n in range(1, x + 1) if gcd_n(n) == k)
+
+
 def verify_structure(k: int, x: int, cache: RankCache | None = None) -> bool:
     """Check A_k(x) = {ell(k) m <= x : no element of L_k divides m}, with
     L_k built as lk_generators builds it and A_k(x) enumerated directly.
@@ -170,10 +183,7 @@ def verify_structure(k: int, x: int, cache: RankCache | None = None) -> bool:
     gens = _generators(cache, verdict, sorted(set(arith.primes_upto(cap)).union(z_primes)), cap)
     allowed = _nonmultiples(gens.elements(), cap)
     structural = [ell_k * m for m in range(1, cap + 1) if allowed[m]]
-
-    gcd_n = _gcd_n(cache.seq)
-    enumerated = [n for n in range(1, x + 1) if gcd_n(n) == k]
-    return structural == enumerated
+    return structural == list(iter_Ak(k, x, seq=cache.seq))
 
 
 def scan_B(

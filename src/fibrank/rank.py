@@ -86,14 +86,6 @@ def _resolve(cache: RankCache | None) -> RankCache:
     return cache if cache is not None else default_cache()
 
 
-def _fibonacci_cache(cache: RankCache | None, caller: str) -> RankCache:
-    """cache (or the shared Fibonacci cache) if it was built for Fibonacci."""
-    cache = _resolve(cache)
-    if not cache.seq.is_fibonacci:
-        raise ValueError(f"{caller}() needs a Fibonacci cache; use lucas_rank for other sequences")
-    return cache
-
-
 def _cache_for(seq: LucasParams, cache: RankCache | None) -> RankCache:
     """The shared cache of seq, or cache if it was built for seq."""
     if cache is None:
@@ -212,7 +204,7 @@ def rank_prime(p: int, cache: RankCache | None = None) -> int:
     """z(p) for prime p in the Fibonacci sequence."""
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _fibonacci_cache(cache, "rank_prime")._prime_rank(p)
+    return _cache_for(FIBONACCI, cache)._prime_rank(p)
 
 
 def rank_prime_power(p: int, e: int, cache: RankCache | None = None) -> int:
@@ -221,12 +213,12 @@ def rank_prime_power(p: int, e: int, cache: RankCache | None = None) -> int:
         raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError(f"need e >= 1, got {e}")
-    return _prime_power_rank(_fibonacci_cache(cache, "rank_prime_power"), p, e)
+    return _prime_power_rank(_cache_for(FIBONACCI, cache), p, e)
 
 
 def rank(m: int, cache: RankCache | None = None) -> RankRecord:
     """RankRecord (m, z(m), ell(m)) for the Fibonacci sequence."""
-    return _rank_with(_fibonacci_cache(cache, "rank"), m)
+    return _rank_with(_cache_for(FIBONACCI, cache), m)
 
 
 def rank_naive(m: int, limit: int | None = None) -> int:

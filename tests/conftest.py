@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fibrank import count_many
+from fibrank import count_many, oracle
 
 settings.register_profile(
     "fibrank",
@@ -23,3 +23,17 @@ def census_1e6():
     reports comes straight from gcd(n, F_n) evaluations.
     """
     return count_many(None, SCAN_LIMIT, witness_cap=1, threads=1)
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """The n passed to oracle.gcd_n_fib, in call order."""
+    seen = []
+    real = oracle.gcd_n_fib
+
+    def counted(n):
+        seen.append(n)
+        return real(n)
+
+    monkeypatch.setattr(oracle, "gcd_n_fib", counted)
+    return seen

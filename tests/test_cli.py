@@ -198,3 +198,56 @@ class TestDeterminism:
     def test_threads_zero_is_auto(self, capsys):
         code, out, _ = run(capsys, "rank", "10", "--threads", "0")
         assert code == 0 and "z(10)" in out
+
+
+# one minimal valid invocation of every subcommand
+_EVERY_SUBCOMMAND = [
+    ["rank", "10"],
+    ["ell", "7"],
+    ["member", "3"],
+    ["density", "1", "--depth", "10"],
+    ["density-b", "1", "--depth", "10"],
+    ["iecheck", "1", "--depth", "10"],
+    ["count", "1", "--limit", "10"],
+    ["verify-structure", "1", "--limit", "10"],
+    ["scan-b", "--limit", "10"],
+    ["lowrank", "--gamma", "1/2", "--limit", "10"],
+    ["ellsum", "--limit", "10"],
+    ["nonmult", "1", "--pbound", "5", "--limit", "10"],
+    ["witnesses", "1", "--limit", "10"],
+]
+
+
+class TestThreadsEnv:
+    """FIBRANK_THREADS is the default of --threads and is validated the same way."""
+
+    def test_covers_every_subcommand(self):
+        from fibrank.cli import _COMMANDS
+
+        assert sorted(argv[0] for argv in _EVERY_SUBCOMMAND) == sorted(_COMMANDS)
+
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    @pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+    def test_invalid_env_is_usage_error(self, capsys, monkeypatch, argv, value):
+        monkeypatch.setenv("FIBRANK_THREADS", value)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "argument --threads" in err
+
+    @pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+    def test_flag_overrides_invalid_env(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("FIBRANK_THREADS", "-1")
+        assert run(capsys, *argv, "--threads", "2")[0] == 0
+
+
+class TestWitnessesScan:
+    def test_stops_at_last_witness(self, capsys, gcd_calls):
+        payload = run_json(capsys, "witnesses", "7", "--max", "5", "--limit", "1000000")
+        witnesses = payload["result"]["witnesses"]
+        assert len(witnesses) == 5
+        assert gcd_calls == list(range(1, witnesses[-1] + 1))
+
+    def test_limit_above_cap_is_out_of_range(self, capsys):
+        code, out, err = run(capsys, "witnesses", "1", "--limit", "100000001")
+        assert code == 4 and out == ""
+        assert "error: out-of-range" in err

@@ -313,3 +313,48 @@ class TestLucasGridDifferential:
                     assert verify_structure(k, 1000, cache), (seq, k)
                     checked += 1
         assert checked == 234
+
+
+_FIVE_PAIRS = [FIBONACCI, LucasParams(2, 1), LucasParams(1, 2), LucasParams(3, -2), LucasParams(3, 1)]
+
+
+class TestIterAk:
+    @pytest.mark.parametrize("seq", _FIVE_PAIRS, ids=lambda s: f"{s.a1},{s.a2}")
+    def test_matches_count_witnesses(self, seq):
+        from fibrank import iter_Ak
+
+        for k in range(1, 31):
+            assert list(iter_Ak(k, 3000, seq=seq)) == list(count_Ak(k, 3000, witness_cap=3000, seq=seq)[0].witnesses)
+
+    @pytest.mark.parametrize(
+        "k, x, exc",
+        [(0, 10, ValueError), (0, 0, ValueError), (1, 0, OutOfRangeError), (1, 10**8 + 1, OutOfRangeError)],
+    )
+    def test_raises_before_evaluating(self, gcd_calls, k, x, exc):
+        from fibrank import iter_Ak
+
+        with pytest.raises(exc) as raised:
+            iter_Ak(k, x)
+        with pytest.raises(exc) as counted:
+            count_Ak(k, x)
+        assert str(raised.value) == str(counted.value)
+        assert gcd_calls == []
+
+    def test_lazy(self, gcd_calls):
+        from fibrank import iter_Ak
+
+        assert next(iter_Ak(1, 10**8)) == 1
+        assert gcd_calls == [1]
+
+
+class TestCountStopsAtCheckpoint:
+    def test_explicit_k_scans_to_last_checkpoint(self, gcd_calls):
+        reports = count_Ak(5, 10**5, checkpoints=[10])
+        assert [(r.x, r.count) for r in reports] == [(10, 2)]  # n = 5, 10
+        assert gcd_calls == list(range(1, 11))
+
+    def test_all_keys_scan_to_x(self):
+        out = count_many(None, 100, [10])
+        assert sorted(out) == sorted({gcd_n_fib(n) for n in range(1, 101)})
+        assert all([r.x for r in reports] == [10] for reports in out.values())
+        assert out[1][0].count == sum(gcd_n_fib(n) == 1 for n in range(1, 11))
