@@ -234,8 +234,7 @@ def primes_upto(limit: int) -> list[int]:
 
 
 # Grow-only cache for the (mobius, smallest-prime-factor) sieve used by the
-# density and oracle scans and by factor.  Replaced atomically; stale reads
-# just recompute.
+# density and oracle scans and by factor.
 _SIEVE: tuple[int, list[int], list[int]] = (0, [], [])
 
 

@@ -39,8 +39,8 @@ from .density import (
     density_series,
     heilbronn_lower_bound,
     inclusion_exclusion_check,
+    is_member,
     lk_generators,
-    lucas_is_member,
 )
 from .fib import LucasParams
 from .rank import RankUndefinedError, default_cache, lucas_rank
@@ -125,7 +125,7 @@ def _series_command(help_, series):
 
 
 def _member(a, cache, threads):
-    v = lucas_is_member(cache.seq, a.k, cache)
+    v = is_member(a.k, cache)
     return {"k": v.k, "ell": v.ell_k, "gcd": v.g, "member": v.member}
 
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from . import arith, rank as rank_mod
 from .arith import OutOfRangeError
-from .fib import FIBONACCI, LucasParams
-from .rank import RankCache, RankUndefinedError, _resolve
+from .fib import LucasParams
+from .rank import RankCache, _resolve
 
 # the sieve behind a depth-D series holds two 4D-entry lists (about 75 MB
 # at D = 10^6), and a generator bound B costs one sieve entry and one rank
@@ -93,12 +93,6 @@ class GeneratorSet:
         return sorted(set(self.prime_part) | {r for _, r in self.ratio_part})
 
 
-def _require_rank_defined(cache: RankCache, k: int):
-    a2 = cache.seq.a2
-    if math.gcd(k, a2) != 1:
-        raise RankUndefinedError(f"ell_u({k}) undefined: gcd({k}, a2 = {a2}) > 1")
-
-
 def _exact_sum(fractions) -> Fraction:
     """Sum exact rationals with binary-counter pairwise merging.
 
@@ -139,12 +133,12 @@ class _EllOfDK:
         self.cache = cache
         self.k = k
         self.spf = spf
+        self.z_k = rank_mod._rank_with(cache, k).z
         self.z_bump = {}
-        z_k = 1
         for pp in arith.factor(k).factors:
-            z_k = math.lcm(z_k, rank_mod._prime_power_rank(cache, pp.p, pp.e))
-            self.z_bump[pp.p] = rank_mod._prime_power_rank(cache, pp.p, pp.e + 1)
-        self.z_k = z_k
+            # once p^(e+1) passes 64 bits, so does ell(dk) for every d that p divides
+            if pp.p ** (pp.e + 1) <= arith.U64_MAX:
+                self.z_bump[pp.p] = rank_mod._prime_power_rank(cache, pp.p, pp.e + 1)
 
     def __call__(self, d: int) -> int:
         lcm = math.lcm
@@ -168,7 +162,7 @@ def _window(cache: RankCache, k: int, depth: int, coprime_to_k: bool, threads: i
         raise ValueError(f"need depth >= 1, got {depth}")
     if depth > SERIES_DEPTH_CAP:
         raise OutOfRangeError(f"series depth {depth} above cap {SERIES_DEPTH_CAP}")
-    _require_rank_defined(cache, k)
+    rank_mod._rank_with(cache, k)  # an undefined z(k) or overflowing ell(k) fails before the sieve
     _check_threads(threads)
     # gcd(d, ab) = 1 iff gcd(d, a) = gcd(d, b) = 1, so one gcd skips the d sharing a
     # factor with a2 and, for the B_k series, with k
@@ -195,24 +189,25 @@ def _series(cache: RankCache, k: int, depth: int, *, coprime_to_k: bool, threads
 def is_member(k: int, cache: RankCache | None = None) -> MembershipVerdict:
     """Decide A_k != {} via k = gcd(ell(k), F_ell(k)).
 
-    F_ell(k) is reduced mod ell(k) before the gcd, so only ell(k) itself
-    must fit the supported integer range.
+    A k sharing a prime q with a2 is a non-member: u_n = a1^(n-1) (mod q),
+    so q never divides gcd(n, u_n).  F_ell(k) is reduced mod ell(k) before
+    the gcd, so only ell(k) itself must fit the supported integer range.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     cache = _resolve(cache)
-    _require_rank_defined(cache, k)
+    if math.gcd(k, cache.seq.a2) != 1:
+        return MembershipVerdict(k, 0, 0, False)
     rec = rank_mod._rank_with(cache, k)
     g = math.gcd(rec.ell, cache.pair_mod(rec.ell, rec.ell)[0])
     return MembershipVerdict(k, rec.ell, g, g == k)
 
 
 def lucas_is_member(seq: LucasParams, k: int, cache: RankCache | None = None) -> MembershipVerdict:
-    """Lucas-sequence membership: gcd(k, a2) = 1 and k = gcd(ell_u(k), u_ell_u(k))."""
+    """Lucas-sequence membership: gcd(k, a2) = 1 and k = gcd(ell_u(k), u_ell_u(k));
+    a k sharing a prime with a2 is a non-member."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if math.gcd(k, seq.a2) != 1:
-        return MembershipVerdict(k, 0, 0, False)
     return is_member(k, rank_mod._cache_for(seq, cache))
 
 
@@ -249,11 +244,12 @@ def inclusion_exclusion_check(
     cache = _resolve(cache)
     lhs = _partial_sum(_window(cache, k, depth, False, threads), depth)
     rhs = Fraction(0)
-    for d in arith.divisors(arith.factor(k)):
-        md = arith.mobius(arith.factor(d))
-        if md == 0 or depth // d == 0:
-            continue
-        rhs += md * _partial_sum(_window(cache, d * k, depth // d, True, threads), depth // d)
+    squarefree = [(1, 1)]
+    for pp in arith.factor(k).factors:
+        squarefree += [(d * pp.p, -md) for d, md in squarefree]
+    for d, md in squarefree:
+        if depth // d:
+            rhs += md * _partial_sum(_window(cache, d * k, depth // d, True, threads), depth // d)
     return lhs, rhs, abs(lhs - rhs)
 
 

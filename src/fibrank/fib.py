@@ -123,16 +123,14 @@ def _int_valuation(x: int, p: int) -> int:
 
 
 def _entry_valuation(p: int, z: int) -> int:
-    """nu_p(F_z) for z = z(p), via residues mod growing powers of p."""
-    pk, k = p * p, 2
-    while True:
-        r = fib_pair_mod(z, pk)[0]
-        if r != 0:
-            return _int_valuation(r, p)
-        if pk > U64_MAX // p:
-            raise OutOfRangeError(f"nu_{p}(F_{z}) exceeds supported precision")
+    """nu_p(F_z) for z = z(p), from F_z mod the largest power of p in 64 bits."""
+    pk = p
+    while pk <= U64_MAX // p:
         pk *= p
-        k += 1
+    r = fib_pair_mod(z, pk)[0]
+    if r == 0:
+        raise OutOfRangeError(f"nu_{p}(F_{z}) exceeds supported precision")
+    return _int_valuation(r, p)
 
 
 def fib_valuation(p: int, n: int) -> int:

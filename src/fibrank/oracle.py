@@ -25,6 +25,8 @@ from .rank import RankCache, _resolve
 SCAN_CAP = 10**8
 B_SCAN_CAP = 10**5
 STRUCTURE_CAP = 10**7
+# z(p)^Q <= p^A is exact, so its cost grows with the denominator Q of gamma
+GAMMA_DENOMINATOR_CAP = 1000
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,17 +205,14 @@ def scan_B(
     checkpoints = _checkpoints(checkpoints, x)
     _check_threads(threads)
     cache = _resolve(cache)
-    a2 = cache.seq.a2
-    gcd = math.gcd
     members = []
     unknown = 0
     for k in range(1, x + 1):
-        if gcd(k, a2) == 1:
-            try:
-                if is_member(k, cache).member:
-                    members.append(k)
-            except OutOfRangeError:
-                unknown += 1
+        try:
+            if is_member(k, cache).member:
+                members.append(k)
+        except OutOfRangeError:
+            unknown += 1
     return _rows(members, checkpoints), unknown
 
 
@@ -237,6 +236,8 @@ def scan_low_rank_primes(
         raise ValueError(f"need x >= 1, got {x}")
     if x > STRUCTURE_CAP:
         raise OutOfRangeError(f"prime scan limit {x} above cap {STRUCTURE_CAP}")
+    if gamma.denominator > GAMMA_DENOMINATOR_CAP:
+        raise OutOfRangeError(f"gamma denominator {gamma.denominator} above cap {GAMMA_DENOMINATOR_CAP}")
     checkpoints = _checkpoints(checkpoints, x)
     cache = _resolve(cache)
     a, q = gamma.numerator, gamma.denominator

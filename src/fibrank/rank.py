@@ -164,33 +164,31 @@ def _prime_rank_lucas(cache: RankCache, p: int) -> int:
 
 
 def _prime_power_rank(cache: RankCache, p: int, e: int) -> int:
-    """z(p^e) lifted from z(p^(e-1)): unchanged if p^e already divides
-    that term, else multiplied by p."""
+    """z(p^e): z(p) for e = 1, else lifted from z(p^(e-1)): unchanged if
+    p^e already divides that term, else multiplied by p."""
     if p**e > arith.U64_MAX:
         raise OutOfRangeError(f"{p}^{e} out of supported range [1, 2^64 - 1]")
+    if e == 1:
+        return cache._prime_rank(p)
     z = cache._ppow_z.get((p, e))
     if z is not None:
         return z
-    z = cache._prime_rank(p)
-    cache._ppow_z[(p, 1)] = z
-    pk = p
-    for j in range(2, e + 1):
-        pk *= p
-        cached = cache._ppow_z.get((p, j))
-        if cached is not None:
-            z = cached
-            continue
-        if cache.pair_mod(z, pk)[0] != 0:
-            z *= p
-        cache._ppow_z[(p, j)] = z
+    z = _prime_power_rank(cache, p, e - 1)
+    if cache.pair_mod(z, p**e)[0] != 0:
+        z *= p
+    cache._ppow_z[(p, e)] = z
     return z
 
 
 def _rank_with(cache: RankCache, m: int) -> RankRecord:
-    arith._check_u64(m, "m")
+    """The record of m; the one check that z_u(m) exists, gcd(m, a2) = 1."""
     rec = cache._records.get(m)
     if rec is not None:
         return rec
+    a2 = cache.seq.a2
+    if math.gcd(m, a2) != 1:
+        raise RankUndefinedError(f"z_u({m}) undefined: gcd({m}, a2 = {a2}) > 1")
+    arith._check_u64(m, "m")
     z = 1
     for pp in arith.factor(m).factors:
         z = checked_lcm(z, _prime_power_rank(cache, pp.p, pp.e))
@@ -241,6 +239,4 @@ def lucas_rank(seq: LucasParams, m: int, cache: RankCache | None = None) -> Rank
     """RankRecord (m, z_u(m), ell_u(m)); requires gcd(m, a2) = 1."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if math.gcd(m, seq.a2) != 1:
-        raise RankUndefinedError(f"z_u({m}) undefined: gcd({m}, a2 = {seq.a2}) > 1")
     return _rank_with(_cache_for(seq, cache), m)

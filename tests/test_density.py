@@ -176,6 +176,12 @@ class TestInclusionExclusion:
     def test_gap_always_exactly_zero(self, k, depth):
         assert inclusion_exclusion_check(k, depth)[2] == 0
 
+    def test_prime_power_k_past_the_bumped_rank(self):
+        # ell(5^27) = 5^27 fits in 64 bits, though 5^28 does not; at depth 1
+        # both sides are 1/5^27
+        lhs, rhs, gap = inclusion_exclusion_check(5**27, 1, RankCache())
+        assert lhs == rhs == Fraction(1, 5**27) and gap == 0
+
     def test_sums_no_tail_window(self, monkeypatch):
         # the check compares partial sums only, so no d beyond depth is evaluated;
         # a series still evaluates its tail window up to 4 * depth
@@ -333,3 +339,30 @@ class TestEllOfDK:
             for d in range(1, 3001):
                 if mu[d]:
                     assert ell_dk(d) == _rank_with(ref, d * k).ell, (k, d)
+
+
+class TestSharedPrimeWithA2:
+    """A k sharing a prime q with a2 is never gcd(n, u_n), because
+    u_n = a1^(n-1) (mod q); both membership entry points say so."""
+
+    PAIRS = [LucasParams(1, 2), LucasParams(3, -2), LucasParams(1, 3), LucasParams(2, 3), LucasParams(1, -6)]
+
+    @pytest.mark.parametrize("seq", PAIRS, ids=lambda s: f"{s.a1},{s.a2}")
+    def test_is_member_matches_lucas_is_member(self, seq):
+        for k in range(1, 31):
+            assert is_member(k, RankCache(seq)) == lucas_is_member(seq, k), k
+
+    @pytest.mark.parametrize("seq", PAIRS, ids=lambda s: f"{s.a1},{s.a2}")
+    def test_no_gcd_shares_a_prime_with_a2(self, seq):
+        from fibrank import gcd_n_lucas
+
+        assert all(math.gcd(gcd_n_lucas(seq, n), seq.a2) == 1 for n in range(1, 2001))
+        assert is_member(abs(seq.a2), RankCache(seq)) == MembershipVerdict(abs(seq.a2), 0, 0, False)
+
+    def test_generators_need_a_member(self):
+        with pytest.raises(NonMemberError):
+            lk_generators(2, 30, RankCache(LucasParams(1, 2)))
+
+    def test_series_names_the_undefined_rank(self):
+        with pytest.raises(ValueError, match=r"^z_u\(2\) undefined: gcd\(2, a2 = 2\) > 1$"):
+            lucas_density_series(LucasParams(1, 2), 2, 10)

@@ -136,6 +136,23 @@ class TestFibValuation:
             for n in range(1, 501):
                 assert fib_valuation(p, n) == int_val(FIBS[n], p), (p, n)
 
+    def test_exact_at_rank_multiples_below_3000(self):
+        from fibrank import rank_prime
+        from fibrank.arith import primes_upto
+
+        for p in primes_upto(3000)[3:]:
+            z = rank_prime(p)
+            for n in range(z, 2002, z):
+                assert fib_valuation(p, n) == int_val(FIBS[n], p), (p, n)
+
+    def test_prime_with_no_room_for_the_entry_valuation(self):
+        from fibrank import rank_prime
+
+        # p^2 > 2^64 - 1, so F_z mod p = 0 cannot tell nu_p(F_z)
+        p = 4294967311
+        with pytest.raises(OutOfRangeError):
+            fib_valuation(p, rank_prime(p))
+
 
 class TestLucasParams:
     def test_discriminant(self):

@@ -73,6 +73,17 @@ class TestCaps:
         assert main(argv) == 4
         assert capsys.readouterr().err.startswith("error: out-of-range:")
 
+    def test_gamma_denominator(self, no_sieves):
+        with pytest.raises(OutOfRangeError):
+            scan_low_rank_primes(Fraction(1, oracle.GAMMA_DENOMINATOR_CAP + 1), 30)
+
+    def test_gamma_denominator_at_cap(self):
+        assert scan_low_rank_primes(Fraction(1, oracle.GAMMA_DENOMINATOR_CAP), 30)[0].count == 0
+
+    def test_cli_gamma_denominator_exit_code(self, capsys):
+        assert main(["lowrank", "--gamma", f"1/{oracle.GAMMA_DENOMINATOR_CAP + 1}", "--limit", "30"]) == 4
+        assert capsys.readouterr().err.startswith("error: out-of-range: gamma denominator")
+
     def test_documented_sizes_fit(self):
         # README and demo sizes: --depth 100000, --limit 100000, --pbound 100
         assert density.SERIES_DEPTH_CAP >= 100_000 and density.GENERATOR_BOUND_CAP >= 100

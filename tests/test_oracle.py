@@ -358,3 +358,11 @@ class TestCountStopsAtCheckpoint:
         assert sorted(out) == sorted({gcd_n_fib(n) for n in range(1, 101)})
         assert all([r.x for r in reports] == [10] for reports in out.values())
         assert out[1][0].count == sum(gcd_n_fib(n) == 1 for n in range(1, 11))
+
+
+class TestStructureNeedsMember:
+    def test_a_k_sharing_a_prime_with_a2(self):
+        from fibrank import RankCache
+
+        with pytest.raises(NonMemberError):
+            verify_structure(2, 500, RankCache(LucasParams(1, 2)))

@@ -165,6 +165,11 @@ class TestRankPrimePower:
         with pytest.raises(OutOfRangeError):
             rank_prime_power(3, 41)
 
+    def test_cold_high_power_vs_naive(self):
+        # each power is lifted from the one below it, also on a cold cache
+        for p, e in ((2, 9), (3, 7), (5, 5), (7, 4)):
+            assert rank_prime_power(p, e, RankCache()) == rank_naive(p**e), (p, e)
+
     def test_rejects_lucas_cache(self):
         # z(49) = 42 for Pell but 56 for Fibonacci
         with pytest.raises(ValueError):
@@ -237,6 +242,12 @@ class TestLucasRank:
             lucas_rank(LucasParams(1, 2), 2)
         with pytest.raises(RankUndefinedError):
             lucas_rank(LucasParams(1, 2), 6)
+
+    def test_record_builder_is_the_check(self):
+        from fibrank.rank import _rank_with
+
+        with pytest.raises(RankUndefinedError, match=r"^z_u\(6\) undefined: gcd\(6, a2 = -2\) > 1$"):
+            _rank_with(RankCache(LucasParams(3, -2)), 6)
 
     def test_defined_when_coprime_to_a2(self):
         rec = lucas_rank(LucasParams(1, 2), 3)
