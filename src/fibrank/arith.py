@@ -59,16 +59,21 @@ class Factorization:
         return t
 
 
-def _small_primes(limit):
+def primes_upto(limit: int) -> list[int]:
+    """All primes <= limit, increasing, by the sieve of Eratosthenes over a
+    bytearray; [] for limit < 2.  The one prime sieve of the package:
+    mobius_spf_sieve takes its primes from here."""
+    if limit < 2:
+        return []
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytes(len(sieve[i * i :: i]))
-    return [i for i in range(limit + 1) if sieve[i]]
+            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
-_SMALL_PRIMES = _small_primes(_TRIAL_LIMIT - 1)
+_SMALL_PRIMES = primes_upto(_TRIAL_LIMIT - 1)
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -226,45 +231,33 @@ def checked_lcm(a: int, b: int) -> int:
     return l
 
 
-def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit."""
-    if limit < 2:
-        return []
-    return _small_primes(limit)
-
-
 # Grow-only cache for the (mobius, smallest-prime-factor) sieve used by the
 # density and oracle scans and by factor.
 _SIEVE: tuple[int, list[int], list[int]] = (0, [], [])
 
 
 def mobius_spf_sieve(limit: int) -> tuple[list[int], list[int]]:
-    """Linear sieve returning (mu, spf) arrays indexed 0..limit.
+    """(mu, spf) lists indexed 0..limit, derived from primes_upto(isqrt(limit)).
 
-    mu[n] is the Mobius function, spf[n] the smallest prime factor (spf[1] = 0).
-    Results are cached and reused for any smaller limit.
+    spf[n] is the smallest prime factor (spf[0] = spf[1] = 0), written by
+    slice assignment over those primes.  mu[n] is the Mobius function, read
+    off spf in one pass: with p = spf[n], mu(n) = 0 if p divides n/p, else
+    -mu(n/p).  Results are cached and reused for any smaller limit.
     """
     global _SIEVE
     cached_limit, mu, spf = _SIEVE
     if cached_limit >= limit:
         return mu, spf
-    mu = [0] * (limit + 1)
     spf = [0] * (limit + 1)
+    # a composite n has a prime factor p <= isqrt(n); writing the multiples of
+    # the largest such primes first leaves the smallest one in spf[n]
+    for p in reversed(primes_upto(math.isqrt(limit))):
+        spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
+    mu = [0] * (limit + 1)
     mu[1] = 1
-    primes = []
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            mu[i] = -1
-            primes.append(i)
-        for p in primes:
-            ip = i * p
-            if ip > limit:
-                break
-            spf[ip] = p
-            if i % p == 0:
-                mu[ip] = 0
-                break
-            mu[ip] = -mu[i]
+    for n in range(2, limit + 1):
+        p = spf[n] = spf[n] or n  # a prime is its own smallest factor
+        m = n // p
+        mu[n] = 0 if m % p == 0 else -mu[m]
     _SIEVE = (limit, mu, spf)
     return mu, spf

@@ -83,7 +83,7 @@ def _frac_str(f: Fraction) -> str:
 class _Command(NamedTuple):
     help: str
     args: tuple  # (name, add_argument keywords) pairs, echoed in order as JSON params; None is left out
-    run: Callable  # (args, cache, threads) -> result dict
+    run: Callable  # (args, cache) -> result dict
     text: Callable  # result with fractions as "n/d" strings -> text output
     csv: tuple  # CSV header: result keys, or keys of csv_rows' rows
     csv_rows: Callable | None = None  # result -> CSV rows; default: result["rows"], else [result]
@@ -100,8 +100,8 @@ _DEPTH = ("--depth", {"type": _positive, "default": DEFAULT_DEPTH})
 def _series_command(help_, series):
     """The spec of a subcommand that prints one truncated density series."""
 
-    def run(a, cache, threads):
-        s = series(a.k, a.depth, cache, threads)
+    def run(a, cache):
+        s = series(a.k, a.depth, cache, a.threads)
         return {
             "k": s.k,
             "depth": s.depth,
@@ -124,18 +124,18 @@ def _series_command(help_, series):
     )
 
 
-def _member(a, cache, threads):
+def _member(a, cache):
     v = is_member(a.k, cache)
     return {"k": v.k, "ell": v.ell_k, "gcd": v.g, "member": v.member}
 
 
-def _iecheck(a, cache, threads):
-    lhs, rhs, gap = inclusion_exclusion_check(a.k, a.depth, cache, threads)
+def _iecheck(a, cache):
+    lhs, rhs, gap = inclusion_exclusion_check(a.k, a.depth, cache, a.threads)
     return {"k": a.k, "depth": a.depth, "lhs": lhs, "rhs": rhs, "gap": gap, "exact_zero": gap == 0}
 
 
-def _count(a, cache, threads):
-    reports = oracle.count_Ak(a.k, a.limit, a.checkpoints, witness_cap=a.witnesses, seq=cache.seq, threads=threads)
+def _count(a, cache):
+    reports = oracle.count_Ak(a.k, a.limit, a.checkpoints, witness_cap=a.witnesses, seq=cache.seq, threads=a.threads)
     return {
         "k": a.k,
         "reports": [
@@ -156,8 +156,8 @@ def _count_text(r):
     return "\n".join(lines)
 
 
-def _scan_b(a, cache, threads):
-    rows, unknown = oracle.scan_B(a.limit, a.checkpoints, cache, threads)
+def _scan_b(a, cache):
+    rows, unknown = oracle.scan_B(a.limit, a.checkpoints, cache, a.threads)
     return {
         "rows": [
             {"x": r.x, "count": r.count, "ratio": r.ratio, "ratio_logx": r.count * math.log(r.x) / r.x} for r in rows
@@ -176,12 +176,12 @@ def _scan_b_text(r):
     return "\n".join(lines)
 
 
-def _ellsum(a, cache, threads):
+def _ellsum(a, cache):
     total = oracle.partial_ell_sum(a.limit, cache)
     return {"limit": a.limit, "sum": total, "float_value": float(total)}
 
 
-def _nonmult(a, cache, threads):
+def _nonmult(a, cache):
     gens = lk_generators(a.k, a.pbound, cache)
     measured = oracle.nonmultiple_density(gens, a.limit)
     bound = heilbronn_lower_bound(gens)
@@ -197,7 +197,7 @@ def _nonmult(a, cache, threads):
     }
 
 
-def _witnesses(a, cache, threads):
+def _witnesses(a, cache):
     first = islice(oracle.iter_Ak(a.k, a.limit, seq=cache.seq), a.max)
     return {"k": a.k, "limit": a.limit, "witnesses": list(first)}
 
@@ -206,14 +206,14 @@ _COMMANDS = {
     "rank": _Command(
         "rank of appearance z(M) and ell(M)",
         (("m", {"type": _positive}),),
-        lambda a, cache, threads: asdict(lucas_rank(cache.seq, a.m, cache)),
+        lambda a, cache: asdict(lucas_rank(cache.seq, a.m, cache)),
         lambda r: f"z({r['m']}) = {r['z']}, ell({r['m']}) = {r['ell']}",
         ("m", "z", "ell"),
     ),
     "ell": _Command(
         "ell(M) = lcm(M, z(M))",
         (("m", {"type": _positive}),),
-        lambda a, cache, threads: {"m": a.m, "ell": lucas_rank(cache.seq, a.m, cache).ell},
+        lambda a, cache: {"m": a.m, "ell": lucas_rank(cache.seq, a.m, cache).ell},
         lambda r: f"ell({r['m']}) = {r['ell']}",
         ("m", "ell"),
     ),
@@ -255,7 +255,7 @@ _COMMANDS = {
     "verify-structure": _Command(
         "check A_K = ell(K) * nonmultiples(L_K)",
         (_K, _LIMIT),
-        lambda a, cache, threads: {
+        lambda a, cache: {
             "k": a.k, "limit": a.limit, "verified": oracle.verify_structure(a.k, a.limit, cache)
         },
         lambda r: (
@@ -273,7 +273,7 @@ _COMMANDS = {
     "lowrank": _Command(
         "primes with z(p) <= p^gamma",
         (("--gamma", {"type": _gamma, "required": True, "metavar": "A/Q"}), _LIMIT, _CHECKPOINTS),
-        lambda a, cache, threads: {
+        lambda a, cache: {
             "rows": [asdict(r) for r in oracle.scan_low_rank_primes(a.gamma, a.limit, a.checkpoints, cache)]
         },
         lambda r: "\n".join(
@@ -352,7 +352,7 @@ def _dispatch(args):
         key = name.lstrip("-")
         if key not in command.quiet and getattr(args, key) is not None:
             params[key] = getattr(args, key)
-    return params, command.run(args, default_cache(seq), args.threads)
+    return params, command.run(args, default_cache(seq))
 
 
 def _csv_cell(value) -> str:

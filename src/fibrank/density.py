@@ -9,6 +9,7 @@ is a heuristic convergence indicator, not a proved bound.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,24 +94,30 @@ class GeneratorSet:
         return sorted(set(self.prime_part) | {r for _, r in self.ratio_part})
 
 
-def _exact_sum(fractions) -> Fraction:
-    """Sum exact rationals with binary-counter pairwise merging.
+def _fold(op, items, total):
+    """Combine items under the associative op with binary-counter pairwise
+    merging, then fold the merged runs into total.
 
-    Equivalent to any other summation order (addition is exact), but keeps
-    intermediate denominators balanced instead of letting one running
-    denominator absorb every term.
+    For exact rationals the result equals any other combination order, but
+    the operands stay balanced: n terms cost about log2(n) merges of
+    similar size per term, where a running total would absorb every term
+    into one ever-growing denominator.
     """
     stack: list[list] = []
-    for f in fractions:
+    for f in items:
         level = 0
         while stack and stack[-1][0] == level:
-            f = f + stack.pop()[1]
+            f = op(f, stack.pop()[1])
             level += 1
         stack.append([level, f])
-    total = Fraction(0)
     for _, f in stack:
-        total += f
+        total = op(total, f)
     return total
+
+
+def _exact_sum(fractions) -> Fraction:
+    """Sum of exact rationals by pairwise merging (see _fold)."""
+    return _fold(operator.add, fractions, Fraction(0))
 
 
 def _check_threads(threads: int):
@@ -206,8 +213,6 @@ def is_member(k: int, cache: RankCache | None = None) -> MembershipVerdict:
 def lucas_is_member(seq: LucasParams, k: int, cache: RankCache | None = None) -> MembershipVerdict:
     """Lucas-sequence membership: gcd(k, a2) = 1 and k = gcd(ell_u(k), u_ell_u(k));
     a k sharing a prime with a2 is a non-member."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
     return is_member(k, rank_mod._cache_for(seq, cache))
 
 
@@ -289,8 +294,9 @@ def _generators(cache: RankCache, verdict: MembershipVerdict, primes: list[int],
 
 def heilbronn_lower_bound(g: GeneratorSet) -> Fraction:
     """prod (1 - 1/s) over the distinct generators: a lower bound for the
-    density of the nonmultiples of the full set L_k as p_bound -> infinity."""
-    prod = Fraction(1)
-    for s in g.elements():
-        prod *= Fraction(s - 1, s)
-    return prod
+    density of the nonmultiples of the full set L_k as p_bound -> infinity.
+
+    The factors are multiplied by pairwise merging (_fold), so no running
+    product is multiplied by each of the thousands of factors in turn.
+    """
+    return _fold(operator.mul, (Fraction(s - 1, s) for s in g.elements()), Fraction(1))

@@ -76,10 +76,9 @@ _DEFAULT_CACHES: dict[LucasParams, RankCache] = {}
 
 def default_cache(seq: LucasParams = FIBONACCI) -> RankCache:
     """Shared per-sequence cache; created on first use."""
-    cache = _DEFAULT_CACHES.get(seq)
-    if cache is None:
-        cache = _DEFAULT_CACHES.setdefault(seq, RankCache(seq))
-    return cache
+    if seq not in _DEFAULT_CACHES:
+        _DEFAULT_CACHES[seq] = RankCache(seq)
+    return _DEFAULT_CACHES[seq]
 
 
 def _resolve(cache: RankCache | None) -> RankCache:
@@ -181,10 +180,13 @@ def _prime_power_rank(cache: RankCache, p: int, e: int) -> int:
 
 
 def _rank_with(cache: RankCache, m: int) -> RankRecord:
-    """The record of m; the one check that z_u(m) exists, gcd(m, a2) = 1."""
+    """The record of m: the one place that rejects m < 1 and an undefined
+    z_u(m), gcd(m, a2) > 1."""
     rec = cache._records.get(m)
     if rec is not None:
         return rec
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     a2 = cache.seq.a2
     if math.gcd(m, a2) != 1:
         raise RankUndefinedError(f"z_u({m}) undefined: gcd({m}, a2 = {a2}) > 1")
@@ -237,6 +239,4 @@ def ell_of(m: int, cache: RankCache | None = None) -> int:
 
 def lucas_rank(seq: LucasParams, m: int, cache: RankCache | None = None) -> RankRecord:
     """RankRecord (m, z_u(m), ell_u(m)); requires gcd(m, a2) = 1."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
     return _rank_with(_cache_for(seq, cache), m)

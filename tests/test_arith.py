@@ -191,6 +191,46 @@ class TestMobius:
                 assert spf[n] == factor(n).factors[0].p
 
 
+class TestSieveVsTrialDivision:
+    """mobius_spf_sieve against a reference that uses no sieve: factor() reads
+    the cached spf once the sieve is built, so it cannot serve as the oracle."""
+
+    LIMIT = 20_000
+
+    @staticmethod
+    def reference(limit):
+        mu, spf = [0, 1], [0, 0]
+        for n in range(2, limit + 1):
+            f = trial_factor(n)
+            mu.append(0 if any(e > 1 for _, e in f) else (-1) ** len(f))
+            spf.append(f[0][0])
+        return mu, spf
+
+    def test_fresh(self, monkeypatch):
+        monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
+        assert mobius_spf_sieve(self.LIMIT) == self.reference(self.LIMIT)
+        assert arith._SIEVE[0] == self.LIMIT
+
+    def test_grown_from_a_smaller_cached_limit(self, monkeypatch):
+        monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
+        small = 1_000
+        assert mobius_spf_sieve(small) == self.reference(small)
+        assert mobius_spf_sieve(self.LIMIT) == self.reference(self.LIMIT)
+        assert arith._SIEVE[0] == self.LIMIT
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4, 8, 9, 25, 48, 49, 50, 121])
+    def test_tiny_limits_around_prime_squares(self, monkeypatch, limit):
+        monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
+        assert mobius_spf_sieve(limit) == self.reference(limit)
+
+
+class TestPrimesUpto:
+    def test_matches_primality_test(self):
+        primes = [p for p in range(2, 5001) if is_prime(p)]
+        for n in range(-5, 5001):
+            assert primes_upto(n) == [p for p in primes if p <= n], n
+
+
 class TestDivisors:
     def test_examples(self):
         assert divisors(factor(1)) == [1]

@@ -267,6 +267,22 @@ class TestHeilbronn:
             assert heilbronn_lower_bound(g) <= nonmultiple_density(g, 100_000), k
 
 
+class TestHeilbronnVsRunningProduct:
+    """The pairwise-merged product equals the product taken one factor at a time."""
+
+    @pytest.mark.parametrize("seq", [FIBONACCI, PELL])
+    def test_members_up_to_30(self, seq):
+        cache = RankCache(seq)
+        members = [k for k in range(1, 31) if is_member(k, cache).member]
+        assert members
+        for k in members:
+            g = lk_generators(k, 3000, cache)
+            expected = Fraction(1)
+            for s in g.elements():
+                expected *= 1 - Fraction(1, s)
+            assert heilbronn_lower_bound(g) == expected, k
+
+
 class TestLucas:
     def test_fibonacci_specialization(self):
         cache = RankCache(FIBONACCI, lucas_algorithms=True)

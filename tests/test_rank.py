@@ -207,6 +207,23 @@ class TestRank:
             assert rank(m, cache) == rank(m)
 
 
+class TestRankNeedsPositiveM:
+    """rank, ell_of and lucas_rank reject m < 1 with the ValueError that
+    rank_naive raises."""
+
+    @pytest.mark.parametrize("call", [lambda: rank(0), lambda: rank(-5), lambda: ell_of(0)])
+    def test_fibonacci(self, call):
+        with pytest.raises(ValueError, match="need m >= 1"):
+            call()
+
+    def test_lucas_rejects_m_before_the_a2_gcd(self):
+        # gcd(0, 2) = 2, so a gcd check made first would raise RankUndefinedError
+        with pytest.raises(ValueError, match="need m >= 1, got 0"):
+            lucas_rank(LucasParams(1, 2), 0)
+        with pytest.raises(ValueError, match="need m >= 1, got -3"):
+            lucas_rank(LucasParams(1, 2), -3)
+
+
 class TestEll:
     def test_examples(self):
         assert ell_of(5) == 5
