@@ -21,6 +21,8 @@ including a size flag (--depth, --limit, --pbound) above its library cap.
 """
 
 import argparse
+import decimal
+import functools
 import json
 import math
 import os
@@ -76,8 +78,43 @@ def _gamma(text):
     return value
 
 
+# str(int) is quadratic in the digit count before CPython 3.12 (a 5.8M-bit
+# series tail takes minutes); above this many bits an int is converted by
+# halves in libmpdec arithmetic instead.  Below it str() is about as fast,
+# and stays under CPython's default 4300-digit int-to-str guard.
+_STR_BITS = 1 << 13
+
+
+def _int_str(n: int) -> str:
+    """str(n), in time subquadratic in the bits of n: the binary halves of n
+    become Decimals joined as hi * 2^h + lo (CPython 3.12's
+    _pylong.int_to_decimal_string; Brent & Zimmermann, Modern Computer
+    Arithmetic, sec. 1.7), with each power of two built once."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    D = decimal.Decimal
+
+    @functools.cache
+    def two_to(w):
+        return D(1 << w) if w <= _STR_BITS else two_to(w >> 1) * two_to(w - (w >> 1))
+
+    def to_decimal(m, w):
+        if w <= _STR_BITS:
+            return D(m)
+        h = w >> 1
+        hi = m >> h
+        return to_decimal(m - (hi << h), h) + to_decimal(hi, w - h) * two_to(h)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True  # every operation must be exact
+        digits = str(to_decimal(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
 def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return f"{_int_str(f.numerator)}/{_int_str(f.denominator)}"
 
 
 class _Command(NamedTuple):
@@ -388,8 +425,8 @@ def _emit(cmd, params, result, fmt):
 
 
 def main(argv=None) -> int:
-    # exact rationals from deep truncations stringify to far more digits than
-    # CPython's default int-to-str conversion guard allows
+    # an integer argument past CPython's default int-to-str conversion guard
+    # must parse and reach the range checks (exit 4), whose messages echo it
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = build_parser()

@@ -2,12 +2,15 @@
 truncated Mobius-series evaluation of its asymptotic density.
 
 The density of A_k is the series sum_{d >= 1} mu(d) / ell(dk).  Partial sums
-are accumulated as exact rationals (pairwise tree reduction keeps the running
-denominators balanced), so rearrangement identities can be tested as exact
-equality.  The reported tail window sum_{D < d <= 4D, d squarefree} 1/ell(dk)
-is a heuristic convergence indicator, not a proved bound.
+are exact rationals, so rearrangement identities can be tested as exact
+equality.  Each term enters the sum as an integer pair (mu(d), ell(dk)), not
+as a Fraction: pairs are added in lowest terms and merged pairwise (see
+_fold), and only the total becomes a Fraction.  The reported tail window
+sum_{D < d <= 4D, d squarefree} 1/ell(dk) is a heuristic convergence
+indicator, not a proved bound.
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -115,9 +118,35 @@ def _fold(op, items, total):
     return total
 
 
-def _exact_sum(fractions) -> Fraction:
-    """Sum of exact rationals by pairwise merging (see _fold)."""
-    return _fold(operator.add, fractions, Fraction(0))
+def _add_pairs(a, b):
+    """n/d + n'/d' for pairs in lowest terms, as a pair in lowest terms: the
+    steps of Fraction addition, with one gcd of the denominators and one to
+    reduce the result."""
+    na, da = a
+    nb, db = b
+    g = math.gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)
+
+
+# The summed pair is already in lowest terms, and Fraction(n, d) would spend
+# one more gcd on it, as costly as the last merge; the stdlib's own
+# constructor for coprime ints is _from_coprime_ints from 3.12 on and
+# Fraction(n, d, _normalize=False) before.
+_coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or functools.partial(Fraction, _normalize=False)
+
+
+def _exact_sum(pairs) -> Fraction:
+    """Sum of the rationals n/d over an iterable of coprime int pairs (n, d),
+    d >= 1, by pairwise merging (see _fold).  The pairs are consumed as they
+    come; no Fraction is built per term."""
+    return _coprime_fraction(*_fold(_add_pairs, pairs, (0, 1)))
 
 
 def _check_threads(threads: int):
@@ -182,14 +211,14 @@ def _partial_sum(window, depth: int) -> Fraction:
     """sum of mu(d)/ell(dk) over the d <= depth that the window admits."""
     mu, ell_dk, avoid = window
     gcd = math.gcd
-    return _exact_sum(Fraction(mu[d], ell_dk(d)) for d in range(1, depth + 1) if mu[d] and gcd(d, avoid) == 1)
+    return _exact_sum((mu[d], ell_dk(d)) for d in range(1, depth + 1) if mu[d] and gcd(d, avoid) == 1)
 
 
 def _series(cache: RankCache, k: int, depth: int, *, coprime_to_k: bool, threads: int) -> SeriesApproximation:
     window = mu, ell_dk, avoid = _window(cache, k, depth, coprime_to_k, threads)
     partial = _partial_sum(window, depth)
     gcd = math.gcd
-    tail = _exact_sum(Fraction(1, ell_dk(d)) for d in range(depth + 1, 4 * depth + 1) if mu[d] and gcd(d, avoid) == 1)
+    tail = _exact_sum((1, ell_dk(d)) for d in range(depth + 1, 4 * depth + 1) if mu[d] and gcd(d, avoid) == 1)
     return SeriesApproximation(k, depth, partial, tail, float(partial))
 
 
@@ -276,15 +305,21 @@ def lk_generators(k: int, p_bound: int, cache: RankCache | None = None) -> Gener
 
 def _generators(cache: RankCache, verdict: MembershipVerdict, primes: list[int], bound: int) -> GeneratorSet:
     """L_k for the member verdict.k: its primes plus the ratio ell(kp)/ell(k)
-    for each p in the sorted list primes that divides neither k nor a2."""
+    for each p in the sorted list primes that divides neither k nor a2.
+
+    z is multiplicative over coprime parts, so ell(kp) = lcm(kp, z(k), z(p))
+    comes from k's record and the prime rank z(p): kp is never factored and
+    gets no record of its own.
+    """
     k = verdict.k
     a2 = cache.seq.a2
+    z_k = rank_mod._rank_with(cache, k).z
     prime_part = tuple(pp.p for pp in arith.factor(k).factors)
     ratios = []
     for p in primes:
         if k % p == 0 or math.gcd(p, a2) != 1:
             continue
-        ell_kp = rank_mod._rank_with(cache, k * p).ell
+        ell_kp = arith.checked_lcm(k * p, math.lcm(z_k, cache._prime_rank(p)))
         ratio, rem = divmod(ell_kp, verdict.ell_k)
         if rem:
             raise RuntimeError(f"ell({k}*{p}) not divisible by ell({k}); this indicates a bug")

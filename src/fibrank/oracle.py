@@ -261,7 +261,7 @@ def partial_ell_sum(N: int, cache: RankCache | None = None) -> Fraction:
     a2 = cache.seq.a2
     gcd = math.gcd
     return _exact_sum(
-        Fraction(1, rank_mod._rank_with(cache, n).ell)
+        (1, rank_mod._rank_with(cache, n).ell)
         for n in range(1, N + 1)
         if gcd(n, a2) == 1
     )

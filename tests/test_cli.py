@@ -2,10 +2,14 @@
 thread-count independence of the emitted bytes."""
 
 import json
+import math
+import random
+import sys
 
 import pytest
 
-from fibrank.cli import main
+from fibrank import density_series
+from fibrank.cli import _STR_BITS, _int_str, main
 
 
 def run(capsys, *argv):
@@ -18,6 +22,63 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     assert code == 0, err
     return json.loads(out)
+
+
+@pytest.fixture
+def no_digit_guard():
+    """Lift CPython's int-to-str digit guard (3.11+) so str() can be the reference."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def parse_by_halves(s: str) -> int:
+    """int(s) for a canonical decimal string, by halves in int arithmetic:
+    an exact reference that, unlike str() before 3.12, is not quadratic."""
+    if len(s) <= 2000:
+        return int(s)
+    k = len(s) // 2
+    return parse_by_halves(s[:-k]) * 10**k + parse_by_halves(s[-k:])
+
+
+class TestIntStr:
+    """_int_str renders ints above _STR_BITS by binary halves; it must equal str()."""
+
+    def test_small(self, no_digit_guard):
+        for n in (0, 1, -1, 9, -10, 2**64, -(2**64) + 1):
+            assert _int_str(n) == str(n)
+
+    # the leaf size and the first doublings, where the halves are split off
+    @pytest.mark.parametrize("bits", [_STR_BITS << i for i in range(5)])
+    def test_powers_of_ten_around_splits(self, bits, no_digit_guard):
+        j0 = int(bits * math.log10(2))
+        for j in range(j0 - 2, j0 + 3):
+            for n in (10**j, 10**j - 1, 10**j + 1, -(10**j), 1 - 10**j):
+                assert _int_str(n) == str(n), (j, n % 1000)
+        for n in (2**bits - 1, 2**bits, 2**bits + 1, -(2**bits)):
+            assert _int_str(n) == str(n), n.bit_length()
+
+    def test_random_vs_str(self, no_digit_guard):
+        rng = random.Random(1)
+        for bits in (_STR_BITS - 1, _STR_BITS, _STR_BITS + 1, 3 * _STR_BITS + 7, 40_000, 150_001):
+            for sign in (1, -1):
+                n = sign * rng.getrandbits(bits)
+                assert _int_str(n) == str(n), bits
+
+    def test_random_up_to_two_million_bits(self):
+        # str() of a 2M-bit int takes seconds before 3.12; parse the output back instead
+        rng = random.Random(2)
+        for bits in (300_000, 1_000_003, 2_000_000):
+            n = rng.getrandbits(bits) | (1 << (bits - 1))
+            s = _int_str(-n)
+            assert s[0] == "-" and s[1] != "0" and s[1:].isdigit()
+            assert parse_by_halves(s[1:]) == n, bits
 
 
 class TestTextOutput:
@@ -63,6 +124,13 @@ class TestJsonOutput:
         text = record["result"]["partial_sum"]
         assert "/" in text and len(text) > 4300
         assert abs(record["result"]["float_value"]) < 0.01
+
+    def test_fraction_past_str_bits_renders_like_str(self, capsys, no_digit_guard):
+        record = run_json(capsys, "density", "1", "--depth", "2000")
+        s = density_series(1, 2000)
+        assert s.tail_window.denominator.bit_length() > _STR_BITS
+        for key, value in (("partial_sum", s.partial_sum), ("tail_window", s.tail_window)):
+            assert record["result"][key] == f"{value.numerator}/{value.denominator}", key
 
     def test_iecheck_gap_field(self, capsys):
         record = run_json(capsys, "iecheck", "12", "--depth", "200")

@@ -31,7 +31,7 @@ from fibrank import (
     rank,
 )
 from fibrank import arith
-from fibrank.density import MembershipVerdict, _EllOfDK
+from fibrank.density import MembershipVerdict, _EllOfDK, _exact_sum
 from fibrank.rank import RankCache, _rank_with, default_cache
 
 PELL = LucasParams(2, 1)
@@ -138,6 +138,45 @@ class TestDensitySeries:
             assert rank(d * k).ell == math.lcm(rank(d).ell, rank(k).ell)
 
 
+def coprime_pairs(numerators, denominators):
+    """Pairs (n, d) in lowest terms with d >= 1, the input _exact_sum takes."""
+    return st.tuples(numerators, denominators).map(lambda t: (t[0] // math.gcd(*t), t[1] // math.gcd(*t)))
+
+
+class TestExactSum:
+    """The pair summer against Fraction addition, one term at a time."""
+
+    @given(st.lists(coprime_pairs(st.integers(-(10**30), 10**30).filter(bool), st.integers(1, 10**30))))
+    def test_random_pairs(self, pairs):
+        expected = sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+        total = _exact_sum(iter(pairs))
+        assert type(total) is Fraction
+        assert (total.numerator, total.denominator) == (expected.numerator, expected.denominator)
+
+    @given(st.lists(coprime_pairs(st.sampled_from([-1, 1]), st.sampled_from([2, 6, 12, 30, 56])), max_size=200))
+    def test_repeated_denominators(self, pairs):
+        # ell values repeat and share factors, as in the series
+        expected = sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+        total = _exact_sum(pairs)
+        assert (total.numerator, total.denominator) == (expected.numerator, expected.denominator)
+
+    def test_cancels_to_zero_over_one(self):
+        total = _exact_sum([(1, 6), (-1, 12), (1, 5), (-1, 6), (1, 12), (-1, 5)])
+        assert (total.numerator, total.denominator) == (0, 1)
+
+    def test_negative_total(self):
+        total = _exact_sum([(-1, 6), (-1, 12), (1, 56)])
+        assert (total.numerator, total.denominator) == (-13, 56)
+
+    def test_one_term(self):
+        total = _exact_sum([(-3, 10**40 + 1)])
+        assert (total.numerator, total.denominator) == (-3, 10**40 + 1)
+
+    def test_no_terms(self):
+        total = _exact_sum(iter(()))
+        assert type(total) is Fraction and (total.numerator, total.denominator) == (0, 1)
+
+
 class TestDensityBkSeries:
     def test_equal_to_full_series_for_k1(self):
         a = density_series(1, 500)
@@ -228,6 +267,29 @@ class TestGenerators:
                 assert ell_of(k * p) == ratio * ell_k
                 assert ratio > 1
             assert 1 not in g.elements()
+
+    @pytest.mark.parametrize("seq", [PELL, LucasParams(1, 2), LucasParams(3, -2), LucasParams(1, 3)], ids=str)
+    def test_lucas_ratios_match_records_of_kp(self, seq):
+        ref = RankCache(seq)
+        members = [k for k in range(1, 41) if is_member(k, ref).member]
+        assert members
+        for k in members:
+            cache = RankCache(seq)
+            g = lk_generators(k, 300, cache)
+            ell_k = _rank_with(ref, k).ell
+            assert [(p, _rank_with(ref, k * p).ell // ell_k) for p, _ in g.ratio_part] == list(g.ratio_part), k
+
+    def test_no_record_per_prime(self):
+        # ell(kp) comes from z(k) and z(p); k*p is neither factored nor recorded
+        cache = RankCache()
+        g = lk_generators(2, 1000, cache)
+        assert len(g.ratio_part) == 167
+        assert all(m <= 1000 for m in cache._records)
+
+    def test_ell_kp_past_64_bits(self):
+        # k = 5^27 is a member with ell(k) = k; ell(2k) = 6 * 5^27 > 2^64
+        with pytest.raises(OutOfRangeError, match="out of supported range"):
+            lk_generators(5**27, 2)
 
     def test_duplicate_ratios_collapse_in_elements(self):
         # ell(6)/ell(2) = 2 collides with the prime 2 itself

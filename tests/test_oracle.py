@@ -119,23 +119,20 @@ class TestVerifyStructure:
     def test_ranks_no_prime_above_cap(self, monkeypatch):
         # ell(2) = 6, so only generators <= cap = 3000 // 6 = 500 matter; every
         # prime above it divides neither 2 nor z(2) = 3, so its ratio is > 500
-        import importlib
-
         from fibrank import RankCache
 
-        rank_module = importlib.import_module("fibrank.rank")
-        rank_with = rank_module._rank_with
+        cache = RankCache()
+        prime_rank = cache._prime_rank
         ranked = []
 
-        def recording(cache, m):
-            ranked.append(m)
-            return rank_with(cache, m)
+        def recording(p):
+            ranked.append(p)
+            return prime_rank(p)
 
-        monkeypatch.setattr(rank_module, "_rank_with", recording)
-        assert verify_structure(2, 3000, RankCache())
-        primes = {m // 2 for m in ranked if m % 2 == 0}
-        assert 499 in primes
-        assert max(primes) <= 500
+        monkeypatch.setattr(cache, "_prime_rank", recording)
+        assert verify_structure(2, 3000, cache)
+        assert 499 in ranked
+        assert max(ranked) <= 500
 
     def test_member_with_ell_above_x(self):
         # ell(1000003) = 1000007000012 > x, so A_k(x) is empty and no generator
