@@ -426,9 +426,19 @@ def _emit(cmd, params, result, fmt):
 
 def main(argv=None) -> int:
     # an integer argument past CPython's default int-to-str conversion guard
-    # must parse and reach the range checks (exit 4), whose messages echo it
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # must parse and reach the range checks (exit 4), whose messages echo it;
+    # the guard is lifted for this call only
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    guard = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(guard)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

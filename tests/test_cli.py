@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from fibrank import density_series
+from fibrank import cli, density_series
 from fibrank.cli import _STR_BITS, _int_str, main
 
 
@@ -238,6 +238,49 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit guard")
+class TestDigitGuard:
+    """main lifts CPython's int-to-str digit guard for its own call only."""
+
+    @pytest.fixture(params=[4300, 5000])
+    def guard(self, request):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(request.param)
+        try:
+            yield request.param
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("rank", "10"), 0),
+            (("--help",), 0),  # argparse's SystemExit(0)
+            (("rank", "0"), 2),  # argparse's SystemExit(2)
+            (("ellsum", "--limit", "-1"), 2),
+            (("rank", "3", "--a1", "1", "--a2", "-3"), 3),
+            (("member", str(2**63)), 4),
+            (("rank", "9" * 5000), 4),  # parses only with the guard lifted
+        ],
+    )
+    def test_restored_on_every_exit(self, capsys, guard, argv, code):
+        assert run(capsys, *argv)[0] == code
+        assert sys.get_int_max_str_digits() == guard
+
+    def test_oversized_argument_is_echoed_whole(self, capsys, guard):
+        code, _, err = run(capsys, "rank", "9" * 5000)
+        assert code == 4 and "9" * 5000 in err
+
+    def test_restored_when_an_exception_escapes(self, guard, monkeypatch):
+        def fail(args):
+            raise RuntimeError("escapes main")
+
+        monkeypatch.setattr(cli, "_dispatch", fail)
+        with pytest.raises(RuntimeError, match="escapes main"):
+            main(["rank", "10"])
+        assert sys.get_int_max_str_digits() == guard
 
 
 class TestDeterminism:

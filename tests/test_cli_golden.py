@@ -197,3 +197,23 @@ def test_cli_bytes(argv, capsys, monkeypatch):
 
 def test_every_case_has_an_expectation():
     assert sorted(EXPECTED) == sorted(" ".join(argv) for argv in CASES)
+
+
+# jobs the size of the density benchmark's, recorded with the plain pair
+# summer before the series sums grouped their large primes, so the grouped
+# summer is checked against recorded bytes and not only against itself:
+# " ".join(argv) -> (sha256 of stdout, length of stdout)
+SERIES_JOBS = {
+    "density 1 --depth 30000 --json": ("fa51818ceca40ff35d11ecdfebeb6e9f7cd84a5f851e01a5ffd859b410f2e945", 129146),
+    "density-b 5 --depth 30000 --a1 2 --a2 1 --json": ("9b2b404efd51667c5f91d14cd4d3e591412731138eaf06c773fd8926db955a60", 127210),
+    "iecheck 12 --depth 15000 --json": ("13df61a4c76d6fc27869cd7f1f7a30ce5d7a5b875ac417eae01a5d6d08d220ee", 25287),
+}
+
+
+@pytest.mark.parametrize("line", sorted(SERIES_JOBS))
+def test_series_job_bytes(line, capsys, monkeypatch):
+    monkeypatch.delenv("FIBRANK_THREADS", raising=False)
+    code = main(line.split())
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert (_sha(out), len(out.encode())) == SERIES_JOBS[line]

@@ -6,6 +6,7 @@ from hand-checkable ell values (ell(2) = 6, ell(3) = 12, ell(5) = 5, ...).
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from fibrank import (
     rank,
 )
 from fibrank import arith
-from fibrank.density import MembershipVerdict, _EllOfDK, _exact_sum
+from fibrank.density import J, MembershipVerdict, _add_pairs, _EllOfDK, _exact_sum, _fold, _terms, _window
 from fibrank.rank import RankCache, _rank_with, default_cache
 
 PELL = LucasParams(2, 1)
@@ -139,7 +140,7 @@ class TestDensitySeries:
 
 
 def coprime_pairs(numerators, denominators):
-    """Pairs (n, d) in lowest terms with d >= 1, the input _exact_sum takes."""
+    """Pairs (n, d) in lowest terms with d >= 1, as the series terms come to _exact_sum."""
     return st.tuples(numerators, denominators).map(lambda t: (t[0] // math.gcd(*t), t[1] // math.gcd(*t)))
 
 
@@ -168,6 +169,10 @@ class TestExactSum:
         total = _exact_sum([(-1, 6), (-1, 12), (1, 56)])
         assert (total.numerator, total.denominator) == (-13, 56)
 
+    def test_pairs_need_not_be_reduced(self):
+        total = _exact_sum([(2, 4), (3, 6), (-10, 12)])
+        assert (total.numerator, total.denominator) == (1, 6)
+
     def test_one_term(self):
         total = _exact_sum([(-3, 10**40 + 1)])
         assert (total.numerator, total.denominator) == (-3, 10**40 + 1)
@@ -175,6 +180,104 @@ class TestExactSum:
     def test_no_terms(self):
         total = _exact_sum(iter(()))
         assert type(total) is Fraction and (total.numerator, total.denominator) == (0, 1)
+
+
+def plain_window_sum(window, lo, hi, signed):
+    """The reference for _terms: every admitted term of lo < d <= hi as a
+    pair (mu(d) or 1, ell(dk)), folded by _add_pairs, in lowest terms."""
+    mu, ell_dk, avoid = window
+    terms = ((mu[d] if signed else 1, ell_dk(d)) for d in range(lo + 1, hi + 1) if mu[d] and math.gcd(d, avoid) == 1)
+    n, d = _fold(_add_pairs, terms, (0, 1))
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def grouped_window_sum(window, lo, hi, signed):
+    """The items of _terms, and their _exact_sum as a pair."""
+    items = list(_terms(window, lo, hi, signed))
+    total = _exact_sum(iter(items))
+    return items, (total.numerator, total.denominator)
+
+
+def node_primes(items):
+    return {item[1] for item in items if len(item) == 3}
+
+
+class TestGroupedSum:
+    """_exact_sum over the groups and pairs of _terms against the plain pair
+    fold of the same window: head (d <= D, signed), tail (D < d <= 4D)."""
+
+    def check(self, cache, k, depth, coprime_to_k):
+        window = _window(cache, k, depth, coprime_to_k, 1)
+        nodes = set()
+        for lo, hi, signed in ((0, depth, True), (depth, 4 * depth, False)):
+            items, (n, d) = grouped_window_sum(window, lo, hi, signed)
+            plain_n, plain_d = plain_window_sum(window, lo, hi, signed)
+            assert n == plain_n, (cache.seq, k, depth, coprime_to_k, lo)
+            assert d == plain_d, (cache.seq, k, depth, coprime_to_k, lo)
+            nodes |= node_primes(items)
+        return nodes
+
+    def test_random_lucas_pairs_and_k(self):
+        rng = random.Random(11)
+        grouped = 0
+        for _ in range(30):
+            a1 = rng.choice([-3, -2, -1, 1, 2, 3, 4])
+            a2 = rng.choice([a for a in (-5, -3, -2, -1, 1, 2, 3, 5, 6) if math.gcd(a1, a) == 1])
+            if a1 * a1 + 4 * a2 == 0 or (a1, a2) in ((1, -1), (-1, -1)):
+                continue
+            cache = RankCache(LucasParams(a1, a2))
+            k = rng.choice([k for k in range(1, 80) if math.gcd(k, a2) == 1])
+            grouped += len(self.check(cache, k, rng.randint(1, 1500), rng.random() < 0.5))
+        assert grouped > 1000  # the groups carry most of the denominators
+
+    @pytest.mark.parametrize("seq", [FIBONACCI, PELL, LucasParams(3, -2)], ids=str)
+    def test_bk_windows(self, seq):
+        cache = RankCache(seq)
+        for k in (1, 2, 6, 11, 12, 30):
+            if math.gcd(k, seq.a2) == 1:
+                assert self.check(cache, k, 700, True)
+
+    @pytest.mark.parametrize("seq", [FIBONACCI, PELL, LucasParams(1, 3)], ids=str)
+    def test_small_depths(self, seq):
+        # hi // J < J below hi = J * J: the cut is J itself
+        cache = RankCache(seq)
+        nodes = set()
+        for depth in range(1, 70):
+            nodes |= self.check(cache, 1, depth, False)
+        assert nodes and min(nodes) == J + 1  # 17, the first prime above the cut
+
+    @pytest.mark.parametrize("k, p", [(1009, 1009), (8111, 811)])
+    def test_prime_of_ell_k_is_not_grouped(self, k, p):
+        # 1009 divides k; 811 divides z(8111) = 8110, and 8111 > 4 * 2000
+        cache = RankCache()
+        assert _rank_with(cache, k).ell % p == 0
+        assert p not in self.check(cache, k, 2000, False)
+
+    @pytest.mark.parametrize(
+        "seq, k, depth, coprime_to_k, window_part, p",
+        [(FIBONACCI, 2, 100, True, "tail", 47), (PELL, 1, 100, False, "tail", 47), (PELL, 2, 800, True, "head", 67)],
+        ids=str,
+    )
+    def test_group_cancelling_p_goes_back_to_pairs(self, seq, k, depth, coprime_to_k, window_part, p):
+        cache = RankCache(seq)
+        window = mu, ell_dk, avoid = _window(cache, k, depth, coprime_to_k, 1)
+        lo, hi, signed = (0, depth, True) if window_part == "head" else (depth, 4 * depth, False)
+        group = [(mu[d] if signed else 1, ell_dk(d)) for d in range(p, hi + 1, p) if d > lo and mu[d] and math.gcd(d, avoid) == 1]
+        # p divides each of these denominators once, yet not the group's sum
+        assert len(group) > 1 and all(e % p == 0 and e % (p * p) for _, e in group)
+        assert sum(Fraction(m, e) for m, e in group).denominator % p
+        items, total = grouped_window_sum(window, lo, hi, signed)
+        assert total == plain_window_sum(window, lo, hi, signed)
+        assert p not in node_primes(items) and set(group) <= set(items)
+        assert node_primes(items)  # other groups of the window stay nodes
+
+    def test_nodes_and_pairs_mixed(self):
+        # n/(P*C) nodes whose P is prime to everything else, with plain pairs
+        items = [(1, 6), (-1, 17, 2), (1, 10), (3, 19, 4), (-1, 30), (1, 23 * 29, 3), (-5, 12)]
+        expected = Fraction(1, 6) - Fraction(1, 34) + Fraction(1, 10) + Fraction(3, 76) - Fraction(1, 30) + Fraction(1, 2001) - Fraction(5, 12)
+        total = _exact_sum(items)
+        assert (total.numerator, total.denominator) == (expected.numerator, expected.denominator)
 
 
 class TestDensityBkSeries:
