@@ -13,19 +13,20 @@ those primes are kept out of the gcds.  A prime p is grouped when
 
   - p > max(hi // J, J), so p^2 > hi and p divides d = jp only for j < J;
   - p does not divide ell(k);
-  - p divides no z(q) for a prime q <= hi coprime to a2.
+  - p divides no z(q) for a prime q <= hi that the window admits.
 
 A grouped p divides ell(dk) exactly once when p | d, and not at all
-otherwise.  The primes of dk are those of d, all <= hi, and those of k,
-whose ranks divide ell(k); so p | z(dk) only through z(p), and z(p) is
-prime to p (z(p) = p for p | disc is barred by the third test).  p divides
-neither j nor k, so p || dk.  The third test is cheap because z(q) divides
-q - (disc/q) (z(q) = q for odd q | disc, z(2) <= 3): p | z(q) for q != p
-forces q = jp +- 1 <= hi, and only the largest prime of z(q) can pass the
-cut.  The terms d = jp of a grouped p therefore add up to n/(p*C), a node
-whose p enters no gcd (see _exact_sum); the other terms are integer pairs
-(mu(d), ell(dk)), added over the lcm of their denominators and merged
-pairwise (see _fold).  The total is reduced once.
+otherwise.  The primes of dk are those of d, all admitted and <= hi, and
+those of k, whose ranks divide ell(k); so p | z(dk) only through z(p),
+and z(p) is prime to p (z(p) = p for p | disc is barred by the third
+test).  p divides neither j nor k, so p || dk.  The third test is cheap
+because z(q) divides q - (disc/q) (z(q) = q for odd q | disc, z(2) <= 3):
+p | z(q) for q != p forces q = jp +- 1 <= hi, and only the largest prime
+of z(q) can pass the cut.  Every summand is a node (n, P, C) for n/(P*C): the terms d = jp of a
+grouped p add up to one node with P = p, which enters no gcd (see
+_exact_sum), and every other term is the node (mu(d), 1, ell(dk)).  The
+nodes are added over the lcm of their C and merged pairwise (see _fold);
+the total is reduced once.
 """
 
 import functools
@@ -37,7 +38,7 @@ from fractions import Fraction
 from . import arith, rank as rank_mod
 from .arith import OutOfRangeError
 from .fib import LucasParams
-from .rank import RankCache, _resolve
+from .rank import RankCache, _cache_for
 
 # the sieve behind a depth-D series holds two 4D-entry lists (about 75 MB
 # at D = 10^6), and a generator bound B costs one sieve entry and one rank
@@ -119,15 +120,6 @@ class GeneratorSet:
         return sorted(set(self.prime_part) | {r for _, r in self.ratio_part})
 
 
-def _push(stack: list, op, f):
-    """Put f on the binary-counter stack of _fold, merging runs of equal level."""
-    level = 0
-    while stack and stack[-1][0] == level:
-        f = op(f, stack.pop()[1])
-        level += 1
-    stack.append([level, f])
-
-
 def _fold(op, items, total):
     """Combine items under the associative op with binary-counter pairwise
     merging, then fold the merged runs into total.
@@ -139,29 +131,22 @@ def _fold(op, items, total):
     """
     stack: list[list] = []
     for f in items:
-        _push(stack, op, f)
+        level = 0
+        while stack and stack[-1][0] == level:
+            f = op(f, stack.pop()[1])
+            level += 1
+        stack.append([level, f])
     return functools.reduce(op, (f for _, f in stack), total)
-
-
-def _add_pairs(a, b):
-    """n/d + n'/d' as a pair over lcm(d, d'): one gcd, of the denominators.
-
-    The sum is not reduced; _exact_sum reduces its total once.  The lcm
-    exceeds the reduced denominator only by what the reduction cancels: at
-    depth 3*10^4 that was under 0.1% of a tail's bits and 4-11% of a
-    partial sum's, less than the gcds it saves.
-    """
-    na, da = a
-    nb, db = b
-    g = math.gcd(da, db)
-    return na * (db // g) + nb * (da // g), da // g * db
 
 
 def _add_nodes(a, b):
     """n/(P*C) + n'/(P'*C') for nodes (n, P, C) whose P is prime to n and
-    to every other P and C of the sum: the step of _add_pairs with only the
-    C in the gcd, since gcd(P*C, P'*C') = gcd(C, C').  The sum is again
-    such a node: its numerator is prime to P*P'."""
+    to every other P and C of the sum: since gcd(P*C, P'*C') = gcd(C, C'),
+    only the C enter the one gcd.  The sum is again such a node, over
+    P*P' and lcm(C, C'), and is not reduced; _exact_sum reduces its total
+    once.  The lcm exceeds the reduced denominator only by what the
+    reduction cancels: at depth 3*10^4 that was under 0.1% of a tail's bits
+    and 4-11% of a partial sum's, less than the gcds it saves."""
     na, pa, ca = a
     nb, pb, cb = b
     g = math.gcd(ca, cb)
@@ -176,34 +161,23 @@ _coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or functools.p
 
 
 def _exact_sum(items) -> Fraction:
-    """Sum of the rationals over an iterable of items, each either an int
-    pair (n, d), d >= 1, for n/d, or a node (n, P, C), P, C >= 1, for
-    n/(P*C), whose P is prime to n and to the denominators of all other
-    items.
+    """Sum of the rationals over an iterable of nodes (n, P, C), P, C >= 1,
+    each for n/(P*C), whose P is prime to n and to the denominators of all
+    other nodes.  A plain term n/d is the node (n, 1, d).
 
-    The nodes of a series window come from _terms, one per grouped prime p:
-    p > max(hi // J, J), p does not divide ell(k), and p divides no z(q)
-    for a prime q <= hi coprime to a2.  Such a p divides ell(dk) exactly
-    once for each d = jp and no other ell(dk): z(q) divides q - (disc/q),
-    so p | z(q) would force q = jp +- 1 <= hi, which the third test rules
-    out (see the module docstring).
+    The nodes with P > 1 of a series window come from _terms, one per
+    grouped prime p: p > max(hi // J, J), p does not divide ell(k), and p
+    divides no z(q) for an admitted prime q <= hi.  Such a p divides
+    ell(dk) exactly once for each d = jp and no other ell(dk): z(q) divides
+    q - (disc/q), so p | z(q) would force q = jp +- 1 <= hi, which the
+    third test rules out (see the module docstring).
 
-    The items are consumed as they come, and no Fraction is built per item.
-    Pairs and nodes fold on separate binary-counter stacks (see _fold), and
-    no P ever enters a gcd: the last merge, of the node total with the pair
-    total n_r/d_r, takes gcd(C, d_r), and the one reduction of the total
-    takes gcd(n, C).
+    The nodes are consumed as they come, and no Fraction is built per node.
+    They fold pairwise (see _fold), and no P ever enters a gcd: each merge
+    takes the gcd of the C, and the one reduction of the total takes
+    gcd(n, C).
     """
-    pairs: list[list] = []
-    nodes: list[list] = []
-    for item in items:
-        if len(item) == 2:
-            _push(pairs, _add_pairs, item)
-        else:
-            _push(nodes, _add_nodes, item)
-    n_r, d_r = functools.reduce(_add_pairs, (f for _, f in pairs), (0, 1))
-    total = functools.reduce(_add_nodes, (f for _, f in nodes), (0, 1, 1))
-    n, p, c = _add_nodes(total, (n_r, 1, d_r))
+    n, p, c = _fold(_add_nodes, items, (0, 1, 1))
     g = math.gcd(n, c)
     return _coprime_fraction(n // g, p * (c // g))
 
@@ -215,25 +189,32 @@ def _check_threads(threads: int):
 
 
 class _EllOfDK:
-    """ell(dk) for squarefree d, sharing z-values of k's prime powers.
+    """One series window for k: the Mobius sieve to hi, the largest d its
+    sums read; avoid, the modulus every summed d must be coprime to
+    (a2, times k for the B_k series); ell(k); and, when called, ell(dk)
+    for a squarefree d <= hi.
 
-    z(p^e) divides z(p^(e+1)), so ell(dk) starts from z(k) and takes the
-    lcm with the cached z(p^(e+1)) for each p | gcd(d, k) and with z(p)
-    for each other prime p of d.
+    ell(dk) shares the z-values of k's prime powers: z(p^e) divides
+    z(p^(e+1)), so it starts from z(k) and takes the lcm with the cached
+    z(p^(e+1)) for each p | gcd(d, k) and with z(p) for each other prime
+    p of d.
     """
 
-    __slots__ = ("cache", "k", "spf", "z_bump", "z_k")
+    __slots__ = ("avoid", "ell_k", "k", "mu", "prime_rank", "spf", "z_bump", "z_k")
 
-    def __init__(self, cache: RankCache, k: int, spf: list[int]):
-        self.cache = cache
-        self.k = k
-        self.spf = spf
-        self.z_k = rank_mod._rank_with(cache, k).z
+    def __init__(self, cache: RankCache, k: int, hi: int, coprime_to_k: bool):
+        rec = rank_mod._rank_with(cache, k)
+        self.k, self.z_k, self.ell_k = k, rec.z, rec.ell
+        self.prime_rank = cache._prime_rank
+        # gcd(d, ab) = 1 iff gcd(d, a) = gcd(d, b) = 1, so one gcd skips the d sharing a
+        # factor with a2 and, for the B_k series, with k
+        self.avoid = abs(cache.seq.a2) * (k if coprime_to_k else 1)
         self.z_bump = {}
         for pp in arith.factor(k).factors:
             # once p^(e+1) passes 64 bits, so does ell(dk) for every d that p divides
             if pp.p ** (pp.e + 1) <= arith.U64_MAX:
                 self.z_bump[pp.p] = rank_mod._prime_power_rank(cache, pp.p, pp.e + 1)
+        self.mu, self.spf = arith.mobius_spf_sieve(hi)
 
     def __call__(self, d: int) -> int:
         lcm = math.lcm
@@ -243,14 +224,13 @@ class _EllOfDK:
         while n > 1:
             p = self.spf[n]
             n //= p
-            z = lcm(z, z_bump[p] if p in z_bump else self.cache._prime_rank(p))
+            z = lcm(z, z_bump[p] if p in z_bump else self.prime_rank(p))
         return arith.checked_lcm(d * self.k, z)
 
 
-def _window(cache: RankCache, k: int, depth: int, coprime_to_k: bool, threads: int):
-    """Validate a depth-`depth` series for k and return what its sums read:
-    the Mobius sieve to 4*depth, ell(dk) as an _EllOfDK, and the modulus
-    avoid that every summed d must be coprime to."""
+def _window(cache: RankCache, k: int, depth: int, hi: int, coprime_to_k: bool, threads: int) -> _EllOfDK:
+    """Validate a depth-`depth` series for k and return its window for the
+    sums over d <= hi."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if depth < 1:
@@ -259,38 +239,34 @@ def _window(cache: RankCache, k: int, depth: int, coprime_to_k: bool, threads: i
         raise OutOfRangeError(f"series depth {depth} above cap {SERIES_DEPTH_CAP}")
     rank_mod._rank_with(cache, k)  # an undefined z(k) or overflowing ell(k) fails before the sieve
     _check_threads(threads)
-    # gcd(d, ab) = 1 iff gcd(d, a) = gcd(d, b) = 1, so one gcd skips the d sharing a
-    # factor with a2 and, for the B_k series, with k
-    avoid = abs(cache.seq.a2) * (k if coprime_to_k else 1)
-    mu, spf = arith.mobius_spf_sieve(4 * depth)
-    return mu, _EllOfDK(cache, k, spf), avoid
+    return _EllOfDK(cache, k, hi, coprime_to_k)
 
 
-def _terms(window, lo: int, hi: int, signed: bool):
-    """The items for _exact_sum of the window's terms mu(d)/ell(dk), or
+def _terms(window: _EllOfDK, lo: int, hi: int, signed: bool):
+    """The nodes for _exact_sum of the window's terms mu(d)/ell(dk), or
     1/ell(dk) if not signed, over the admitted d with lo < d <= hi.
 
     A grouped prime p (see the module docstring) divides ell(dk) exactly
     once when p | d and not at all otherwise, so the terms d = jp add up
     to a node (n, p, C).  The groups come first, in increasing p; a group
-    whose n is a multiple of p comes as its plain pairs, and one whose n
-    is 0 is left out.  Then come the pairs (sign, ell(dk)) of the other d,
-    in increasing order: a d is skipped when it has a prime above the cut
-    (there is at most one) and that prime is grouped.
+    whose n is a multiple of p comes as its plain terms, and one whose n
+    is 0 is left out.  Then come the plain terms (sign, 1, ell(dk)) of the
+    other d, in increasing order: a d is skipped when it has a prime above
+    the cut (there is at most one) and that prime is grouped.
     """
-    mu, ell_dk, avoid = window
-    spf, cache = ell_dk.spf, ell_dk.cache
-    a2 = cache.seq.a2
-    ell_k = math.lcm(ell_dk.k, ell_dk.z_k)
+    mu, spf, avoid, ell_k = window.mu, window.spf, window.avoid, window.ell_k
     gcd = math.gcd
     cut = max(hi // J, J)
-    # z(q) <= q + 1 <= 4 * depth, and two primes above the cut multiply past
-    # q + 1, so only the largest prime of z(q), read off the spf chain, can
-    # be above the cut, and only for q >= cut
+    # z(q) <= q + 1, and two primes above the cut multiply past q + 1, so
+    # only the largest prime of z(q), read off the spf chain, can be above
+    # the cut, and only for q >= cut; z(q) = q + 1 is even, so halving it
+    # keeps that prime and brings it into the sieve when q = hi
     barred = set()
     for q in range(cut, hi + 1):
-        if spf[q] == q and a2 % q:
-            z = cache._prime_rank(q)
+        if spf[q] == q and avoid % q:
+            z = window.prime_rank(q)
+            if z > hi:
+                z //= 2
             while spf[z] < z:
                 z //= spf[z]
             if z > cut:
@@ -300,27 +276,25 @@ def _terms(window, lo: int, hi: int, signed: bool):
         if spf[p] < p or p in barred or ell_k % p == 0:
             continue
         multiples = range((lo // p + 1) * p, hi + 1, p)
-        n, c = 0, 1
-        for d in multiples:
-            skip[d] = 1
-            if mu[d] and gcd(d, avoid) == 1:
-                n, c = _add_pairs((n, c), (mu[d] if signed else 1, ell_dk(d) // p))
+        skip[multiples.start :: p] = b"\1" * len(multiples)
+        group = [(mu[d] if signed else 1, 1, window(d)) for d in multiples if mu[d] and gcd(d, avoid) == 1]
+        n, _, c = functools.reduce(_add_nodes, ((m, 1, e // p) for m, _, e in group), (0, 1, 1))
         if n % p:
             yield n, p, c
-        elif n:  # p cancels from the group's sum: its terms go back to the pairs
-            yield from ((mu[d] if signed else 1, ell_dk(d)) for d in multiples if mu[d] and gcd(d, avoid) == 1)
+        elif n:  # p cancels from the group's sum: its terms go back to the plain ones
+            yield from group
     for d in range(lo + 1, hi + 1):
         if mu[d] and not skip[d] and gcd(d, avoid) == 1:
-            yield (mu[d] if signed else 1), ell_dk(d)
+            yield (mu[d] if signed else 1), 1, window(d)
 
 
-def _partial_sum(window, depth: int) -> Fraction:
+def _partial_sum(window: _EllOfDK, depth: int) -> Fraction:
     """sum of mu(d)/ell(dk) over the d <= depth that the window admits."""
     return _exact_sum(_terms(window, 0, depth, True))
 
 
 def _series(cache: RankCache, k: int, depth: int, *, coprime_to_k: bool, threads: int) -> SeriesApproximation:
-    window = _window(cache, k, depth, coprime_to_k, threads)
+    window = _window(cache, k, depth, 4 * depth, coprime_to_k, threads)
     partial = _partial_sum(window, depth)
     tail = _exact_sum(_terms(window, depth, 4 * depth, False))
     return SeriesApproximation(k, depth, partial, tail, float(partial))
@@ -335,7 +309,7 @@ def is_member(k: int, cache: RankCache | None = None) -> MembershipVerdict:
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    cache = _resolve(cache)
+    cache = _cache_for(None, cache)
     if math.gcd(k, cache.seq.a2) != 1:
         return MembershipVerdict(k, 0, 0, False)
     rec = rank_mod._rank_with(cache, k)
@@ -346,7 +320,7 @@ def is_member(k: int, cache: RankCache | None = None) -> MembershipVerdict:
 def lucas_is_member(seq: LucasParams, k: int, cache: RankCache | None = None) -> MembershipVerdict:
     """Lucas-sequence membership: gcd(k, a2) = 1 and k = gcd(ell_u(k), u_ell_u(k));
     a k sharing a prime with a2 is a non-member."""
-    return is_member(k, rank_mod._cache_for(seq, cache))
+    return is_member(k, _cache_for(seq, cache))
 
 
 def density_series(k: int, depth: int, cache: RankCache | None = None, threads: int = 1) -> SeriesApproximation:
@@ -355,19 +329,19 @@ def density_series(k: int, depth: int, cache: RankCache | None = None, threads: 
     Terms with mu(d) = 0 are skipped via a precomputed sieve; the heuristic
     tail window covers squarefree depth < d <= 4*depth.
     """
-    return _series(_resolve(cache), k, depth, coprime_to_k=False, threads=threads)
+    return _series(_cache_for(None, cache), k, depth, coprime_to_k=False, threads=threads)
 
 
 def density_bk_series(k: int, depth: int, cache: RankCache | None = None, threads: int = 1) -> SeriesApproximation:
     """Like density_series but restricted to d coprime to k (the B_k series)."""
-    return _series(_resolve(cache), k, depth, coprime_to_k=True, threads=threads)
+    return _series(_cache_for(None, cache), k, depth, coprime_to_k=True, threads=threads)
 
 
 def lucas_density_series(
     seq: LucasParams, k: int, depth: int, cache: RankCache | None = None, threads: int = 1
 ) -> SeriesApproximation:
     """Density series for a Lucas sequence: squarefree d with gcd(d, a2) = 1."""
-    return _series(rank_mod._cache_for(seq, cache), k, depth, coprime_to_k=False, threads=threads)
+    return _series(_cache_for(seq, cache), k, depth, coprime_to_k=False, threads=threads)
 
 
 def inclusion_exclusion_check(
@@ -379,15 +353,15 @@ def inclusion_exclusion_check(
     gcd(e, k) = 1, so truncating the inner B-series at depth // d makes
     both sides cover exactly the squarefree f <= depth; the gap must be 0.
     """
-    cache = _resolve(cache)
-    lhs = _partial_sum(_window(cache, k, depth, False, threads), depth)
+    cache = _cache_for(None, cache)
+    lhs = _partial_sum(_window(cache, k, depth, depth, False, threads), depth)
     rhs = Fraction(0)
     squarefree = [(1, 1)]
     for pp in arith.factor(k).factors:
         squarefree += [(d * pp.p, -md) for d, md in squarefree]
     for d, md in squarefree:
         if depth // d:
-            rhs += md * _partial_sum(_window(cache, d * k, depth // d, True, threads), depth // d)
+            rhs += md * _partial_sum(_window(cache, d * k, depth // d, depth // d, True, threads), depth // d)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -400,7 +374,7 @@ def lk_generators(k: int, p_bound: int, cache: RankCache | None = None) -> Gener
         raise ValueError(f"need p_bound >= 2, got {p_bound}")
     if p_bound > GENERATOR_BOUND_CAP:
         raise OutOfRangeError(f"prime bound {p_bound} above cap {GENERATOR_BOUND_CAP}")
-    cache = _resolve(cache)
+    cache = _cache_for(None, cache)
     verdict = is_member(k, cache)
     if not verdict.member:
         raise NonMemberError(f"A_{k} is empty; L_{k} is defined only for members")

@@ -20,7 +20,7 @@ from . import arith, rank as rank_mod
 from .arith import OutOfRangeError
 from .density import GeneratorSet, NonMemberError, _check_threads, _exact_sum, _generators, is_member
 from .fib import FIBONACCI, LucasParams, gcd_n_fib, gcd_n_lucas
-from .rank import RankCache, _resolve
+from .rank import RankCache, _cache_for
 
 SCAN_CAP = 10**8
 B_SCAN_CAP = 10**5
@@ -175,7 +175,7 @@ def verify_structure(k: int, x: int, cache: RankCache | None = None) -> bool:
     """
     if not 1 <= x <= STRUCTURE_CAP:
         raise OutOfRangeError(f"structure scan limit {x} outside [1, {STRUCTURE_CAP}]")
-    cache = _resolve(cache)
+    cache = _cache_for(None, cache)
     verdict = is_member(k, cache)
     if not verdict.member:
         raise NonMemberError(f"A_{k} is empty; the structural decomposition needs a member")
@@ -204,7 +204,7 @@ def scan_B(
         raise OutOfRangeError(f"membership scan limit {x} outside [1, {B_SCAN_CAP}]")
     checkpoints = _checkpoints(checkpoints, x)
     _check_threads(threads)
-    cache = _resolve(cache)
+    cache = _cache_for(None, cache)
     members = []
     unknown = 0
     for k in range(1, x + 1):
@@ -239,7 +239,7 @@ def scan_low_rank_primes(
     if gamma.denominator > GAMMA_DENOMINATOR_CAP:
         raise OutOfRangeError(f"gamma denominator {gamma.denominator} above cap {GAMMA_DENOMINATOR_CAP}")
     checkpoints = _checkpoints(checkpoints, x)
-    cache = _resolve(cache)
+    cache = _cache_for(None, cache)
     a, q = gamma.numerator, gamma.denominator
     a2 = cache.seq.a2
     low = [
@@ -257,11 +257,11 @@ def partial_ell_sum(N: int, cache: RankCache | None = None) -> Fraction:
         raise ValueError(f"need N >= 1, got {N}")
     if N > B_SCAN_CAP:
         raise OutOfRangeError(f"ell sum limit {N} above cap {B_SCAN_CAP}")
-    cache = _resolve(cache)
+    cache = _cache_for(None, cache)
     a2 = cache.seq.a2
     gcd = math.gcd
     return _exact_sum(
-        (1, rank_mod._rank_with(cache, n).ell)
+        (1, 1, rank_mod._rank_with(cache, n).ell)
         for n in range(1, N + 1)
         if gcd(n, a2) == 1
     )

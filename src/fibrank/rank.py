@@ -81,15 +81,13 @@ def default_cache(seq: LucasParams = FIBONACCI) -> RankCache:
     return _DEFAULT_CACHES[seq]
 
 
-def _resolve(cache: RankCache | None) -> RankCache:
-    return cache if cache is not None else default_cache()
-
-
-def _cache_for(seq: LucasParams, cache: RankCache | None) -> RankCache:
-    """The shared cache of seq, or cache if it was built for seq."""
+def _cache_for(seq: LucasParams | None, cache: RankCache | None) -> RankCache:
+    """cache if it was built for seq, or for any sequence if seq is None;
+    without a cache, the shared cache of seq (of the Fibonacci sequence if
+    seq is None)."""
     if cache is None:
-        return default_cache(seq)
-    if cache.seq != seq:
+        return default_cache(FIBONACCI if seq is None else seq)
+    if seq is not None and cache.seq != seq:
         raise ValueError("cache was built for different Lucas parameters")
     return cache
 

@@ -32,7 +32,7 @@ from fibrank import (
     rank,
 )
 from fibrank import arith
-from fibrank.density import J, MembershipVerdict, _add_pairs, _EllOfDK, _exact_sum, _fold, _terms, _window
+from fibrank.density import J, MembershipVerdict, _EllOfDK, _exact_sum, _partial_sum, _terms, _window
 from fibrank.rank import RankCache, _rank_with, default_cache
 
 PELL = LucasParams(2, 1)
@@ -139,42 +139,42 @@ class TestDensitySeries:
             assert rank(d * k).ell == math.lcm(rank(d).ell, rank(k).ell)
 
 
-def coprime_pairs(numerators, denominators):
-    """Pairs (n, d) in lowest terms with d >= 1, as the series terms come to _exact_sum."""
-    return st.tuples(numerators, denominators).map(lambda t: (t[0] // math.gcd(*t), t[1] // math.gcd(*t)))
+def plain_terms(numerators, denominators):
+    """Nodes (n, 1, d) in lowest terms with d >= 1, as the plain series terms come to _exact_sum."""
+    return st.tuples(numerators, denominators).map(lambda t: (t[0] // math.gcd(*t), 1, t[1] // math.gcd(*t)))
 
 
 class TestExactSum:
-    """The pair summer against Fraction addition, one term at a time."""
+    """The summer over plain terms (n, 1, d) against Fraction addition, one term at a time."""
 
-    @given(st.lists(coprime_pairs(st.integers(-(10**30), 10**30).filter(bool), st.integers(1, 10**30))))
-    def test_random_pairs(self, pairs):
-        expected = sum((Fraction(n, d) for n, d in pairs), Fraction(0))
-        total = _exact_sum(iter(pairs))
+    @given(st.lists(plain_terms(st.integers(-(10**30), 10**30).filter(bool), st.integers(1, 10**30))))
+    def test_random_pairs(self, items):
+        expected = sum((Fraction(n, d) for n, _, d in items), Fraction(0))
+        total = _exact_sum(iter(items))
         assert type(total) is Fraction
         assert (total.numerator, total.denominator) == (expected.numerator, expected.denominator)
 
-    @given(st.lists(coprime_pairs(st.sampled_from([-1, 1]), st.sampled_from([2, 6, 12, 30, 56])), max_size=200))
-    def test_repeated_denominators(self, pairs):
+    @given(st.lists(plain_terms(st.sampled_from([-1, 1]), st.sampled_from([2, 6, 12, 30, 56])), max_size=200))
+    def test_repeated_denominators(self, items):
         # ell values repeat and share factors, as in the series
-        expected = sum((Fraction(n, d) for n, d in pairs), Fraction(0))
-        total = _exact_sum(pairs)
+        expected = sum((Fraction(n, d) for n, _, d in items), Fraction(0))
+        total = _exact_sum(items)
         assert (total.numerator, total.denominator) == (expected.numerator, expected.denominator)
 
     def test_cancels_to_zero_over_one(self):
-        total = _exact_sum([(1, 6), (-1, 12), (1, 5), (-1, 6), (1, 12), (-1, 5)])
+        total = _exact_sum([(1, 1, 6), (-1, 1, 12), (1, 1, 5), (-1, 1, 6), (1, 1, 12), (-1, 1, 5)])
         assert (total.numerator, total.denominator) == (0, 1)
 
     def test_negative_total(self):
-        total = _exact_sum([(-1, 6), (-1, 12), (1, 56)])
+        total = _exact_sum([(-1, 1, 6), (-1, 1, 12), (1, 1, 56)])
         assert (total.numerator, total.denominator) == (-13, 56)
 
     def test_pairs_need_not_be_reduced(self):
-        total = _exact_sum([(2, 4), (3, 6), (-10, 12)])
+        total = _exact_sum([(2, 1, 4), (3, 1, 6), (-10, 1, 12)])
         assert (total.numerator, total.denominator) == (1, 6)
 
     def test_one_term(self):
-        total = _exact_sum([(-3, 10**40 + 1)])
+        total = _exact_sum([(-3, 1, 10**40 + 1)])
         assert (total.numerator, total.denominator) == (-3, 10**40 + 1)
 
     def test_no_terms(self):
@@ -183,13 +183,14 @@ class TestExactSum:
 
 
 def plain_window_sum(window, lo, hi, signed):
-    """The reference for _terms: every admitted term of lo < d <= hi as a
-    pair (mu(d) or 1, ell(dk)), folded by _add_pairs, in lowest terms."""
-    mu, ell_dk, avoid = window
-    terms = ((mu[d] if signed else 1, ell_dk(d)) for d in range(lo + 1, hi + 1) if mu[d] and math.gcd(d, avoid) == 1)
-    n, d = _fold(_add_pairs, terms, (0, 1))
-    g = math.gcd(n, d)
-    return n // g, d // g
+    """The reference for _terms: the Fraction sum of every admitted term
+    (mu(d) or 1)/ell(dk) of lo < d <= hi, as (numerator, denominator)."""
+    mu = window.mu
+    total = sum(
+        (Fraction(mu[d] if signed else 1, window(d)) for d in range(lo + 1, hi + 1) if mu[d] and math.gcd(d, window.avoid) == 1),
+        Fraction(0),
+    )
+    return total.numerator, total.denominator
 
 
 def grouped_window_sum(window, lo, hi, signed):
@@ -200,15 +201,15 @@ def grouped_window_sum(window, lo, hi, signed):
 
 
 def node_primes(items):
-    return {item[1] for item in items if len(item) == 3}
+    return {p for _, p, _ in items if p > 1}
 
 
 class TestGroupedSum:
-    """_exact_sum over the groups and pairs of _terms against the plain pair
-    fold of the same window: head (d <= D, signed), tail (D < d <= 4D)."""
+    """_exact_sum over the grouped and plain terms of _terms against the
+    Fraction sum of the same window: head (d <= D, signed), tail (D < d <= 4D)."""
 
     def check(self, cache, k, depth, coprime_to_k):
-        window = _window(cache, k, depth, coprime_to_k, 1)
+        window = _window(cache, k, depth, 4 * depth, coprime_to_k, 1)
         nodes = set()
         for lo, hi, signed in ((0, depth, True), (depth, 4 * depth, False)):
             items, (n, d) = grouped_window_sum(window, lo, hi, signed)
@@ -261,12 +262,13 @@ class TestGroupedSum:
     )
     def test_group_cancelling_p_goes_back_to_pairs(self, seq, k, depth, coprime_to_k, window_part, p):
         cache = RankCache(seq)
-        window = mu, ell_dk, avoid = _window(cache, k, depth, coprime_to_k, 1)
+        window = _window(cache, k, depth, 4 * depth, coprime_to_k, 1)
+        mu = window.mu
         lo, hi, signed = (0, depth, True) if window_part == "head" else (depth, 4 * depth, False)
-        group = [(mu[d] if signed else 1, ell_dk(d)) for d in range(p, hi + 1, p) if d > lo and mu[d] and math.gcd(d, avoid) == 1]
+        group = [(mu[d] if signed else 1, 1, window(d)) for d in range(p, hi + 1, p) if d > lo and mu[d] and math.gcd(d, window.avoid) == 1]
         # p divides each of these denominators once, yet not the group's sum
-        assert len(group) > 1 and all(e % p == 0 and e % (p * p) for _, e in group)
-        assert sum(Fraction(m, e) for m, e in group).denominator % p
+        assert len(group) > 1 and all(e % p == 0 and e % (p * p) for _, _, e in group)
+        assert sum(Fraction(m, e) for m, _, e in group).denominator % p
         items, total = grouped_window_sum(window, lo, hi, signed)
         assert total == plain_window_sum(window, lo, hi, signed)
         assert p not in node_primes(items) and set(group) <= set(items)
@@ -274,7 +276,7 @@ class TestGroupedSum:
 
     def test_nodes_and_pairs_mixed(self):
         # n/(P*C) nodes whose P is prime to everything else, with plain pairs
-        items = [(1, 6), (-1, 17, 2), (1, 10), (3, 19, 4), (-1, 30), (1, 23 * 29, 3), (-5, 12)]
+        items = [(1, 1, 6), (-1, 17, 2), (1, 1, 10), (3, 19, 4), (-1, 1, 30), (1, 23 * 29, 3), (-5, 1, 12)]
         expected = Fraction(1, 6) - Fraction(1, 34) + Fraction(1, 10) + Fraction(3, 76) - Fraction(1, 30) + Fraction(1, 2001) - Fraction(5, 12)
         total = _exact_sum(items)
         assert (total.numerator, total.denominator) == (expected.numerator, expected.denominator)
@@ -325,8 +327,9 @@ class TestInclusionExclusion:
         assert lhs == rhs == Fraction(1, 5**27) and gap == 0
 
     def test_sums_no_tail_window(self, monkeypatch):
-        # the check compares partial sums only, so no d beyond depth is evaluated;
-        # a series still evaluates its tail window up to 4 * depth
+        # the check compares partial sums only, so no d beyond depth is evaluated
+        # or sieved; a series still evaluates and sieves its tail window up to 4 * depth
+        monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
         call = _EllOfDK.__call__
         largest = [0]
 
@@ -337,9 +340,21 @@ class TestInclusionExclusion:
         monkeypatch.setattr(_EllOfDK, "__call__", recording)
         inclusion_exclusion_check(12, 300, RankCache())
         assert 0 < largest[0] <= 300
+        assert arith._SIEVE[0] == 300
         largest[0] = 0
         density_series(12, 300, RankCache())
         assert largest[0] == 1199  # 11 * 109, the largest squarefree d <= 1200
+        assert arith._SIEVE[0] == 1200
+
+    @pytest.mark.parametrize("seq, depth", [(FIBONACCI, 23), (FIBONACCI, 547), (PELL, 19)], ids=str)
+    def test_window_ends_at_a_prime_ranked_past_it(self, monkeypatch, seq, depth):
+        # z(depth) = depth + 1 lies one past the sieve of the left-side window
+        monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
+        assert lucas_rank(seq, depth).z == depth + 1
+        cache = RankCache(seq)
+        lhs = _partial_sum(_window(cache, 1, depth, depth, False, 1), depth)
+        assert arith._SIEVE[0] == depth
+        assert lhs == lucas_density_series(seq, 1, depth, RankCache(seq)).partial_sum
 
 
 class TestGenerators:
@@ -513,12 +528,11 @@ class TestEllOfDK:
     @pytest.mark.parametrize("seq", [FIBONACCI, PELL], ids=["fibonacci", "pell"])
     def test_matches_composite_rank(self, seq):
         # k <= 60 includes the prime powers 4, 8, 9, 16, 25, 27, 32 and 49
-        mu, spf = arith.mobius_spf_sieve(3000)
         ref = RankCache(seq)
         for k in range(1, 61):
-            ell_dk = _EllOfDK(RankCache(seq), k, spf)
+            ell_dk = _EllOfDK(RankCache(seq), k, 3000, False)
             for d in range(1, 3001):
-                if mu[d]:
+                if ell_dk.mu[d]:
                     assert ell_dk(d) == _rank_with(ref, d * k).ell, (k, d)
 
 
