@@ -9,24 +9,24 @@ equality.  The reported tail window sum_{D < d <= 4D, d squarefree}
 Each window of admitted squarefree d <= hi (hi = D for the partial sum, 4D
 for the tail) is summed exactly, and only the total becomes a Fraction.
 Most of the denominator's bits are large primes that divide few terms, so
-those primes are kept out of the gcds.  A prime p is grouped when
-
-  - p > max(hi // J, J), so p^2 > hi and p divides d = jp only for j < J;
-  - p does not divide ell(k);
-  - p divides no z(q) for a prime q <= hi that the window admits.
+those primes are kept out of the gcds.  A prime p > max(hi // J, J) (so
+p^2 > hi, and p divides d = jp only for j < J) that does not divide ell(k)
+is grouped unless p | z(q) for an admitted prime q that is p itself or
+jp +- 1 <= hi with j even.  This local test finds every admitted prime
+q <= hi with p | z(q): z(q) divides q - (disc/q), is q for an odd q | disc
+and is at most 3 for q = 2, so an odd p | z(q) is q or divides the even
+number q -+ 1.
 
 A grouped p divides ell(dk) exactly once when p | d, and not at all
 otherwise.  The primes of dk are those of d, all admitted and <= hi, and
 those of k, whose ranks divide ell(k); so p | z(dk) only through z(p),
-and z(p) is prime to p (z(p) = p for p | disc is barred by the third
-test).  p divides neither j nor k, so p || dk.  The third test is cheap
-because z(q) divides q - (disc/q) (z(q) = q for odd q | disc, z(2) <= 3):
-p | z(q) for q != p forces q = jp +- 1 <= hi, and only the largest prime
-of z(q) can pass the cut.  Every summand is a node (n, P, C) for n/(P*C): the terms d = jp of a
-grouped p add up to one node with P = p, which enters no gcd (see
-_exact_sum), and every other term is the node (mu(d), 1, ell(dk)).  The
-nodes are added over the lcm of their C and merged pairwise (see _fold);
-the total is reduced once.
+which the test keeps prime to p.  p divides neither j nor k, so p || dk.
+Every summand is a node (n, P, C) for n/(P*C): the terms d = jp of a
+grouped p add up to one node, with P = p, which enters no gcd (see
+_exact_sum), or with P = 1 when p cancels from their sum, since C, the lcm
+of the ell(dk)/p, is prime to every grouped prime.  Every other term is
+the node (mu(d), 1, ell(dk)).  The nodes are added over the lcm of their C
+and merged pairwise (see _fold); the total is reduced once.
 """
 
 import functools
@@ -166,11 +166,7 @@ def _exact_sum(items) -> Fraction:
     other nodes.  A plain term n/d is the node (n, 1, d).
 
     The nodes with P > 1 of a series window come from _terms, one per
-    grouped prime p: p > max(hi // J, J), p does not divide ell(k), and p
-    divides no z(q) for an admitted prime q <= hi.  Such a p divides
-    ell(dk) exactly once for each d = jp and no other ell(dk): z(q) divides
-    q - (disc/q), so p | z(q) would force q = jp +- 1 <= hi, which the
-    third test rules out (see the module docstring).
+    grouped prime (see the module docstring).
 
     The nodes are consumed as they come, and no Fraction is built per node.
     They fold pairwise (see _fold), and no P ever enters a gcd: each merge
@@ -189,10 +185,11 @@ def _check_threads(threads: int):
 
 
 class _EllOfDK:
-    """One series window for k: the Mobius sieve to hi, the largest d its
-    sums read; avoid, the modulus every summed d must be coprime to
-    (a2, times k for the B_k series); ell(k); and, when called, ell(dk)
-    for a squarefree d <= hi.
+    """One window of a depth-`depth` series for k: the Mobius sieve to hi,
+    the largest d its sums read; avoid, the modulus every summed d must be
+    coprime to (a2, times k for the B_k series); ell(k); and, when called,
+    ell(dk) for a squarefree d <= hi.  The series is validated before the
+    sieve is built.
 
     ell(dk) shares the z-values of k's prime powers: z(p^e) divides
     z(p^(e+1)), so it starts from z(k) and takes the lcm with the cached
@@ -202,8 +199,15 @@ class _EllOfDK:
 
     __slots__ = ("avoid", "ell_k", "k", "mu", "prime_rank", "spf", "z_bump", "z_k")
 
-    def __init__(self, cache: RankCache, k: int, hi: int, coprime_to_k: bool):
-        rec = rank_mod._rank_with(cache, k)
+    def __init__(self, cache: RankCache, k: int, depth: int, hi: int, coprime_to_k: bool, threads: int):
+        if k < 1:
+            raise ValueError(f"need k >= 1, got {k}")
+        if depth < 1:
+            raise ValueError(f"need depth >= 1, got {depth}")
+        if depth > SERIES_DEPTH_CAP:
+            raise OutOfRangeError(f"series depth {depth} above cap {SERIES_DEPTH_CAP}")
+        rec = rank_mod._rank_with(cache, k)  # an undefined z(k) or overflowing ell(k) fails before the sieve
+        _check_threads(threads)
         self.k, self.z_k, self.ell_k = k, rec.z, rec.ell
         self.prime_rank = cache._prime_rank
         # gcd(d, ab) = 1 iff gcd(d, a) = gcd(d, b) = 1, so one gcd skips the d sharing a
@@ -228,61 +232,34 @@ class _EllOfDK:
         return arith.checked_lcm(d * self.k, z)
 
 
-def _window(cache: RankCache, k: int, depth: int, hi: int, coprime_to_k: bool, threads: int) -> _EllOfDK:
-    """Validate a depth-`depth` series for k and return its window for the
-    sums over d <= hi."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if depth < 1:
-        raise ValueError(f"need depth >= 1, got {depth}")
-    if depth > SERIES_DEPTH_CAP:
-        raise OutOfRangeError(f"series depth {depth} above cap {SERIES_DEPTH_CAP}")
-    rank_mod._rank_with(cache, k)  # an undefined z(k) or overflowing ell(k) fails before the sieve
-    _check_threads(threads)
-    return _EllOfDK(cache, k, hi, coprime_to_k)
-
-
 def _terms(window: _EllOfDK, lo: int, hi: int, signed: bool):
     """The nodes for _exact_sum of the window's terms mu(d)/ell(dk), or
     1/ell(dk) if not signed, over the admitted d with lo < d <= hi.
 
-    A grouped prime p (see the module docstring) divides ell(dk) exactly
-    once when p | d and not at all otherwise, so the terms d = jp add up
-    to a node (n, p, C).  The groups come first, in increasing p; a group
-    whose n is a multiple of p comes as its plain terms, and one whose n
-    is 0 is left out.  Then come the plain terms (sign, 1, ell(dk)) of the
-    other d, in increasing order: a d is skipped when it has a prime above
-    the cut (there is at most one) and that prime is grouped.
+    The terms d = jp of each grouped prime p (see the module docstring)
+    come first, in increasing p, as one node, or none when they sum to 0.
+    Then come the plain terms (sign, 1, ell(dk)) of the other d, in
+    increasing order.
     """
-    mu, spf, avoid, ell_k = window.mu, window.spf, window.avoid, window.ell_k
+    mu, spf, avoid, ell_k, prime_rank = window.mu, window.spf, window.avoid, window.ell_k, window.prime_rank
     gcd = math.gcd
-    cut = max(hi // J, J)
-    # z(q) <= q + 1, and two primes above the cut multiply past q + 1, so
-    # only the largest prime of z(q), read off the spf chain, can be above
-    # the cut, and only for q >= cut; z(q) = q + 1 is even, so halving it
-    # keeps that prime and brings it into the sieve when q = hi
-    barred = set()
-    for q in range(cut, hi + 1):
-        if spf[q] == q and avoid % q:
-            z = window.prime_rank(q)
-            if z > hi:
-                z //= 2
-            while spf[z] < z:
-                z //= spf[z]
-            if z > cut:
-                barred.add(z)
     skip = bytearray(hi + 1)
-    for p in range(cut + 1, hi + 1):
-        if spf[p] < p or p in barred or ell_k % p == 0:
+    for p in range(max(hi // J, J) + 1, hi + 1):
+        if spf[p] < p or ell_k % p == 0:
             continue
-        multiples = range((lo // p + 1) * p, hi + 1, p)
-        skip[multiples.start :: p] = b"\1" * len(multiples)
-        group = [(mu[d] if signed else 1, 1, window(d)) for d in multiples if mu[d] and gcd(d, avoid) == 1]
-        n, _, c = functools.reduce(_add_nodes, ((m, 1, e // p) for m, _, e in group), (0, 1, 1))
-        if n % p:
-            yield n, p, c
-        elif n:  # p cancels from the group's sum: its terms go back to the plain ones
-            yield from group
+        # the candidates q = p and q = jp +- 1, j even, of the local test
+        for q in (p, *range(2 * p - 1, hi + 1, 2 * p), *range(2 * p + 1, hi + 1, 2 * p)):
+            if spf[q] == q and avoid % q and prime_rank(q) % p == 0:
+                break
+        else:
+            multiples = range((lo // p + 1) * p, hi + 1, p)
+            skip[multiples.start :: p] = b"\1" * len(multiples)
+            group = ((mu[d] if signed else 1, 1, window(d) // p) for d in multiples if mu[d] and gcd(d, avoid) == 1)
+            n, _, c = functools.reduce(_add_nodes, group, (0, 1, 1))
+            if n % p:
+                yield n, p, c
+            elif n:  # p cancels from the group's sum
+                yield n // p, 1, c
     for d in range(lo + 1, hi + 1):
         if mu[d] and not skip[d] and gcd(d, avoid) == 1:
             yield (mu[d] if signed else 1), 1, window(d)
@@ -294,7 +271,7 @@ def _partial_sum(window: _EllOfDK, depth: int) -> Fraction:
 
 
 def _series(cache: RankCache, k: int, depth: int, *, coprime_to_k: bool, threads: int) -> SeriesApproximation:
-    window = _window(cache, k, depth, 4 * depth, coprime_to_k, threads)
+    window = _EllOfDK(cache, k, depth, 4 * depth, coprime_to_k, threads)
     partial = _partial_sum(window, depth)
     tail = _exact_sum(_terms(window, depth, 4 * depth, False))
     return SeriesApproximation(k, depth, partial, tail, float(partial))
@@ -354,14 +331,14 @@ def inclusion_exclusion_check(
     both sides cover exactly the squarefree f <= depth; the gap must be 0.
     """
     cache = _cache_for(None, cache)
-    lhs = _partial_sum(_window(cache, k, depth, depth, False, threads), depth)
+    lhs = _partial_sum(_EllOfDK(cache, k, depth, depth, False, threads), depth)
     rhs = Fraction(0)
     squarefree = [(1, 1)]
     for pp in arith.factor(k).factors:
         squarefree += [(d * pp.p, -md) for d, md in squarefree]
     for d, md in squarefree:
         if depth // d:
-            rhs += md * _partial_sum(_window(cache, d * k, depth // d, depth // d, True, threads), depth // d)
+            rhs += md * _partial_sum(_EllOfDK(cache, d * k, depth // d, depth // d, True, threads), depth // d)
     return lhs, rhs, abs(lhs - rhs)
 
 

@@ -32,7 +32,7 @@ from fibrank import (
     rank,
 )
 from fibrank import arith
-from fibrank.density import J, MembershipVerdict, _EllOfDK, _exact_sum, _partial_sum, _terms, _window
+from fibrank.density import J, MembershipVerdict, _EllOfDK, _exact_sum, _partial_sum, _terms
 from fibrank.rank import RankCache, _rank_with, default_cache
 
 PELL = LucasParams(2, 1)
@@ -204,12 +204,24 @@ def node_primes(items):
     return {p for _, p, _ in items if p > 1}
 
 
+def random_windows(rng, count, max_depth):
+    """Up to count random (cache, k, depth, coprime_to_k) for nondegenerate
+    Lucas pairs with small parameters and 1 <= depth <= max_depth."""
+    for _ in range(count):
+        a1 = rng.choice([-3, -2, -1, 1, 2, 3, 4])
+        a2 = rng.choice([a for a in (-5, -3, -2, -1, 1, 2, 3, 5, 6) if math.gcd(a1, a) == 1])
+        if a1 * a1 + 4 * a2 == 0 or (a1, a2) in ((1, -1), (-1, -1)):
+            continue
+        k = rng.choice([k for k in range(1, 80) if math.gcd(k, a2) == 1])
+        yield RankCache(LucasParams(a1, a2)), k, rng.randint(1, max_depth), rng.random() < 0.5
+
+
 class TestGroupedSum:
     """_exact_sum over the grouped and plain terms of _terms against the
     Fraction sum of the same window: head (d <= D, signed), tail (D < d <= 4D)."""
 
     def check(self, cache, k, depth, coprime_to_k):
-        window = _window(cache, k, depth, 4 * depth, coprime_to_k, 1)
+        window = _EllOfDK(cache, k, depth, 4 * depth, coprime_to_k, 1)
         nodes = set()
         for lo, hi, signed in ((0, depth, True), (depth, 4 * depth, False)):
             items, (n, d) = grouped_window_sum(window, lo, hi, signed)
@@ -220,17 +232,31 @@ class TestGroupedSum:
         return nodes
 
     def test_random_lucas_pairs_and_k(self):
-        rng = random.Random(11)
         grouped = 0
-        for _ in range(30):
-            a1 = rng.choice([-3, -2, -1, 1, 2, 3, 4])
-            a2 = rng.choice([a for a in (-5, -3, -2, -1, 1, 2, 3, 5, 6) if math.gcd(a1, a) == 1])
-            if a1 * a1 + 4 * a2 == 0 or (a1, a2) in ((1, -1), (-1, -1)):
-                continue
-            cache = RankCache(LucasParams(a1, a2))
-            k = rng.choice([k for k in range(1, 80) if math.gcd(k, a2) == 1])
-            grouped += len(self.check(cache, k, rng.randint(1, 1500), rng.random() < 0.5))
+        for cache, k, depth, coprime_to_k in random_windows(random.Random(11), 30, 1500):
+            grouped += len(self.check(cache, k, depth, coprime_to_k))
         assert grouped > 1000  # the groups carry most of the denominators
+
+    def test_grouped_primes_match_their_definition(self):
+        # the local test of _terms against the definition: the primes p above the
+        # cut that divide neither ell(k) nor z(q) for any admitted prime q <= hi
+        # (every z(q) factored)
+        nodes_seen = 0
+        for cache, k, depth, coprime_to_k in random_windows(random.Random(12), 40, 1000):
+            window = _EllOfDK(cache, k, depth, 4 * depth, coprime_to_k, 1)
+            mu, avoid = window.mu, window.avoid
+            for lo, hi, signed in ((0, depth, True), (depth, 4 * depth, False)):
+                primes = arith.primes_upto(hi)
+                of_ranks = {pp.p for q in primes if avoid % q for pp in arith.factor(_rank_with(cache, q).z).factors}
+                grouped = {p for p in primes if p > max(hi // J, J) and window.ell_k % p and p not in of_ranks}
+                nodes = node_primes(_terms(window, lo, hi, signed))
+                assert nodes <= grouped, (cache.seq, k, depth, coprime_to_k, lo)
+                for p in grouped - nodes:
+                    # no admitted multiple in the window, or p cancels from the group's sum
+                    group = [Fraction(mu[d] if signed else 1, window(d)) for d in range(p, hi + 1, p) if d > lo and mu[d] and math.gcd(d, avoid) == 1]
+                    assert not group or sum(group).denominator % p, (cache.seq, k, depth, coprime_to_k, lo, p)
+                nodes_seen += len(nodes)
+        assert nodes_seen > 1000
 
     @pytest.mark.parametrize("seq", [FIBONACCI, PELL, LucasParams(3, -2)], ids=str)
     def test_bk_windows(self, seq):
@@ -248,6 +274,18 @@ class TestGroupedSum:
             nodes |= self.check(cache, 1, depth, False)
         assert nodes and min(nodes) == J + 1  # 17, the first prime above the cut
 
+    def test_prime_of_the_discriminant_is_not_grouped(self):
+        # z(17) = 17 divides 17: of the local test's candidates, only q = p bars 17
+        seq = LucasParams(3, 2)
+        assert seq.discriminant == 17 and lucas_rank(seq, 17).z == 17
+        cache = RankCache(seq)
+        nodes = set()
+        for depth in range(5, 41):
+            found = self.check(cache, 1, depth, False)
+            assert 17 not in found, depth
+            nodes |= found
+        assert nodes  # the other primes above the cut are grouped
+
     @pytest.mark.parametrize("k, p", [(1009, 1009), (8111, 811)])
     def test_prime_of_ell_k_is_not_grouped(self, k, p):
         # 1009 divides k; 811 divides z(8111) = 8110, and 8111 > 4 * 2000
@@ -260,18 +298,24 @@ class TestGroupedSum:
         [(FIBONACCI, 2, 100, True, "tail", 47), (PELL, 1, 100, False, "tail", 47), (PELL, 2, 800, True, "head", 67)],
         ids=str,
     )
-    def test_group_cancelling_p_goes_back_to_pairs(self, seq, k, depth, coprime_to_k, window_part, p):
+    def test_group_cancelling_p_is_one_plain_node(self, seq, k, depth, coprime_to_k, window_part, p):
         cache = RankCache(seq)
-        window = _window(cache, k, depth, 4 * depth, coprime_to_k, 1)
+        window = _EllOfDK(cache, k, depth, 4 * depth, coprime_to_k, 1)
         mu = window.mu
         lo, hi, signed = (0, depth, True) if window_part == "head" else (depth, 4 * depth, False)
-        group = [(mu[d] if signed else 1, 1, window(d)) for d in range(p, hi + 1, p) if d > lo and mu[d] and math.gcd(d, window.avoid) == 1]
+        group = [(mu[d] if signed else 1, window(d)) for d in range(p, hi + 1, p) if d > lo and mu[d] and math.gcd(d, window.avoid) == 1]
         # p divides each of these denominators once, yet not the group's sum
-        assert len(group) > 1 and all(e % p == 0 and e % (p * p) for _, _, e in group)
-        assert sum(Fraction(m, e) for m, _, e in group).denominator % p
+        assert len(group) > 1 and all(e % p == 0 and e % (p * p) for _, e in group)
+        group_sum = sum(Fraction(m, e) for m, e in group)
+        assert group_sum.denominator % p
+        # so the group is the one node (n // p, 1, C), C the lcm of the e // p
+        c = math.lcm(*(e // p for _, e in group))
+        node = (sum(m * (c // (e // p)) for m, e in group) // p, 1, c)
+        assert c % p and Fraction(node[0], c) == group_sum
         items, total = grouped_window_sum(window, lo, hi, signed)
         assert total == plain_window_sum(window, lo, hi, signed)
-        assert p not in node_primes(items) and set(group) <= set(items)
+        assert p not in node_primes(items) and node in items
+        assert not any((m, 1, e) in items for m, e in group)
         assert node_primes(items)  # other groups of the window stay nodes
 
     def test_nodes_and_pairs_mixed(self):
@@ -352,7 +396,7 @@ class TestInclusionExclusion:
         monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
         assert lucas_rank(seq, depth).z == depth + 1
         cache = RankCache(seq)
-        lhs = _partial_sum(_window(cache, 1, depth, depth, False, 1), depth)
+        lhs = _partial_sum(_EllOfDK(cache, 1, depth, depth, False, 1), depth)
         assert arith._SIEVE[0] == depth
         assert lhs == lucas_density_series(seq, 1, depth, RankCache(seq)).partial_sum
 
@@ -530,7 +574,7 @@ class TestEllOfDK:
         # k <= 60 includes the prime powers 4, 8, 9, 16, 25, 27, 32 and 49
         ref = RankCache(seq)
         for k in range(1, 61):
-            ell_dk = _EllOfDK(RankCache(seq), k, 3000, False)
+            ell_dk = _EllOfDK(RankCache(seq), k, 3000, 3000, False, 1)
             for d in range(1, 3001):
                 if ell_dk.mu[d]:
                     assert ell_dk(d) == _rank_with(ref, d * k).ell, (k, d)
