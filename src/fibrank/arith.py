@@ -147,8 +147,6 @@ def factor(n: int) -> Factorization:
     on whatever remains.
     """
     _check_u64(n)
-    if n == 1:
-        return Factorization(1, ())
     counts: dict[int, int] = {}
     m = n
     limit, _, spf = _SIEVE
@@ -231,8 +229,8 @@ def checked_lcm(a: int, b: int) -> int:
     return l
 
 
-# Grow-only cache for the (mobius, smallest-prime-factor) sieve used by the
-# density and oracle scans and by factor.
+# Grow-only cache for the (mobius, smallest-prime-factor) sieve: the series
+# windows (density._EllOfDK) build it, and factor reads it.
 _SIEVE: tuple[int, list[int], list[int]] = (0, [], [])
 
 

@@ -79,9 +79,9 @@ def _gamma(text):
 
 
 # str(int) is quadratic in the digit count before CPython 3.12 (a 5.8M-bit
-# series tail takes minutes); above this many bits an int is converted by
-# halves in libmpdec arithmetic instead.  Below it str() is about as fast,
-# and stays under CPython's default 4300-digit int-to-str guard.
+# series tail takes minutes), so every int is converted by binary halves in
+# libmpdec arithmetic; a half of at most this many bits is one Decimal.
+# str(int) is never called, so CPython's int-to-str digit guard never applies.
 _STR_BITS = 1 << 13
 
 
@@ -90,8 +90,6 @@ def _int_str(n: int) -> str:
     become Decimals joined as hi * 2^h + lo (CPython 3.12's
     _pylong.int_to_decimal_string; Brent & Zimmermann, Modern Computer
     Arithmetic, sec. 1.7), with each power of two built once."""
-    if n.bit_length() <= _STR_BITS:
-        return str(n)
     D = decimal.Decimal
 
     @functools.cache

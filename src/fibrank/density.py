@@ -38,7 +38,7 @@ from fractions import Fraction
 from . import arith, rank as rank_mod
 from .arith import OutOfRangeError
 from .fib import LucasParams
-from .rank import RankCache, _cache_for
+from .rank import RankCache, RankRecord, _cache_for
 
 # the sieve behind a depth-D series holds two 4D-entry lists (about 75 MB
 # at D = 10^6), and a generator bound B costs one sieve entry and one rank
@@ -265,14 +265,9 @@ def _terms(window: _EllOfDK, lo: int, hi: int, signed: bool):
             yield (mu[d] if signed else 1), 1, window(d)
 
 
-def _partial_sum(window: _EllOfDK, depth: int) -> Fraction:
-    """sum of mu(d)/ell(dk) over the d <= depth that the window admits."""
-    return _exact_sum(_terms(window, 0, depth, True))
-
-
 def _series(cache: RankCache, k: int, depth: int, *, coprime_to_k: bool, threads: int) -> SeriesApproximation:
     window = _EllOfDK(cache, k, depth, 4 * depth, coprime_to_k, threads)
-    partial = _partial_sum(window, depth)
+    partial = _exact_sum(_terms(window, 0, depth, True))
     tail = _exact_sum(_terms(window, depth, 4 * depth, False))
     return SeriesApproximation(k, depth, partial, tail, float(partial))
 
@@ -331,14 +326,14 @@ def inclusion_exclusion_check(
     both sides cover exactly the squarefree f <= depth; the gap must be 0.
     """
     cache = _cache_for(None, cache)
-    lhs = _partial_sum(_EllOfDK(cache, k, depth, depth, False, threads), depth)
+    lhs = _exact_sum(_terms(_EllOfDK(cache, k, depth, depth, False, threads), 0, depth, True))
     rhs = Fraction(0)
     squarefree = [(1, 1)]
     for pp in arith.factor(k).factors:
         squarefree += [(d * pp.p, -md) for d, md in squarefree]
     for d, md in squarefree:
-        if depth // d:
-            rhs += md * _partial_sum(_EllOfDK(cache, d * k, depth // d, depth // d, True, threads), depth // d)
+        if inner := depth // d:
+            rhs += md * _exact_sum(_terms(_EllOfDK(cache, d * k, inner, inner, True, threads), 0, inner, True))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -352,30 +347,28 @@ def lk_generators(k: int, p_bound: int, cache: RankCache | None = None) -> Gener
     if p_bound > GENERATOR_BOUND_CAP:
         raise OutOfRangeError(f"prime bound {p_bound} above cap {GENERATOR_BOUND_CAP}")
     cache = _cache_for(None, cache)
-    verdict = is_member(k, cache)
-    if not verdict.member:
+    if not is_member(k, cache).member:
         raise NonMemberError(f"A_{k} is empty; L_{k} is defined only for members")
-    return _generators(cache, verdict, arith.primes_upto(p_bound), p_bound)
+    return _generators(cache, rank_mod._rank_with(cache, k), arith.primes_upto(p_bound), p_bound)
 
 
-def _generators(cache: RankCache, verdict: MembershipVerdict, primes: list[int], bound: int) -> GeneratorSet:
-    """L_k for the member verdict.k: its primes plus the ratio ell(kp)/ell(k)
+def _generators(cache: RankCache, rec: RankRecord, primes: list[int], bound: int) -> GeneratorSet:
+    """L_k for the member k = rec.m: its primes plus the ratio ell(kp)/ell(k)
     for each p in the sorted list primes that divides neither k nor a2.
 
     z is multiplicative over coprime parts, so ell(kp) = lcm(kp, z(k), z(p))
     comes from k's record and the prime rank z(p): kp is never factored and
     gets no record of its own.
     """
-    k = verdict.k
+    k = rec.m
     a2 = cache.seq.a2
-    z_k = rank_mod._rank_with(cache, k).z
     prime_part = tuple(pp.p for pp in arith.factor(k).factors)
     ratios = []
     for p in primes:
         if k % p == 0 or math.gcd(p, a2) != 1:
             continue
-        ell_kp = arith.checked_lcm(k * p, math.lcm(z_k, cache._prime_rank(p)))
-        ratio, rem = divmod(ell_kp, verdict.ell_k)
+        ell_kp = arith.checked_lcm(k * p, math.lcm(rec.z, cache._prime_rank(p)))
+        ratio, rem = divmod(ell_kp, rec.ell)
         if rem:
             raise RuntimeError(f"ell({k}*{p}) not divisible by ell({k}); this indicates a bug")
         ratios.append((p, ratio))

@@ -65,9 +65,7 @@ def fib_pair_mod(n: int, m: int) -> tuple[int, int]:
     _check_u64(m, "modulus")
     if n < 0:
         raise ValueError(f"Fibonacci index must be >= 0, got {n}")
-    if m == 1:
-        return 0, 0
-    a, b = 0, 1
+    a, b = 0, 1 % m
     for i in range(n.bit_length() - 1, -1, -1):
         c = a * (2 * b - a) % m
         d = (a * a + b * b) % m
@@ -86,8 +84,6 @@ def lucas_pair_mod(seq: LucasParams, n: int, m: int) -> tuple[int, int]:
     _check_u64(m, "modulus")
     if n < 0:
         raise ValueError(f"Lucas index must be >= 0, got {n}")
-    if m == 1:
-        return 0, 0
     a1, a2 = seq.a1 % m, seq.a2 % m
     a, b = 0, 1 % m
     for i in range(n.bit_length() - 1, -1, -1):
@@ -175,10 +171,9 @@ def lucas_valuation(seq: LucasParams, p: int, n: int, precision: int) -> int:
         raise ValueError(f"p = {p} divides a2 = {seq.a2}; valuation undefined")
     if n < 1 or precision < 1:
         raise ValueError("need n >= 1 and precision >= 1")
-    pk = p**precision
-    if pk > U64_MAX:
+    if precision >= 64 or p**precision > U64_MAX:  # p >= 2, so p^64 > 2^64 - 1
         raise OutOfRangeError(f"{p}^{precision} out of supported range [1, 2^64 - 1]")
-    r = lucas_pair_mod(seq, n, pk)[0]
+    r = lucas_pair_mod(seq, n, p**precision)[0]
     if r == 0:
         return precision
     return _int_valuation(r, p)

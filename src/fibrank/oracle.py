@@ -47,7 +47,7 @@ class ScanRow:
 
 def _checkpoints(checkpoints: list[int] | None, x: int) -> list[int]:
     """Sorted distinct checkpoints, [x] if none are given."""
-    checkpoints = sorted(set(checkpoints)) if checkpoints else [x]
+    checkpoints = sorted(set(checkpoints or ())) or [x]
     if checkpoints[0] < 1 or checkpoints[-1] > x:
         raise ValueError("checkpoints must lie in [1, x]")
     return checkpoints
@@ -76,8 +76,8 @@ def _nonmultiples(gens, x: int) -> bytearray:
 def _gcd_block(seq: LucasParams, lo: int, hi: int, wanted, witness_cap: int, counts: dict, wits: dict):
     """Add the tallies of gcd(n, u_n) for lo <= n <= hi into counts and wits.
 
-    wanted is a set of k values to track, or None for all of them; wits
-    keeps the first witness_cap n of each k.
+    wanted is a container of the k values to track, or None for all of them;
+    wits keeps the first witness_cap n of each k.
     """
     gcd_n = _gcd_n(seq)
     for n in range(lo, hi + 1):
@@ -104,14 +104,15 @@ def count_many(
 ) -> dict[int, list[CountReport]]:
     """Count A_k(checkpoint) for several k in one shared pass over n <= x.
 
-    ks may be None to report every gcd value that occurs.  The scan walks
-    n = 1..x once regardless of how many k are requested.
+    ks may be None to report every gcd value that occurs, or any iterable,
+    read once.  The scan walks n = 1..x once regardless of how many k are
+    requested.
     """
     if not 1 <= x <= SCAN_CAP:
         raise OutOfRangeError(f"scan limit {x} outside [1, {SCAN_CAP}]")
     checkpoints = _checkpoints(checkpoints, x)
     _check_threads(threads)
-    wanted = None if ks is None else set(ks)
+    wanted = None if ks is None else dict.fromkeys(ks)  # ordered, without repeats
 
     running: dict[int, int] = {}
     first_wits: dict[int, list[int]] = {}
@@ -124,7 +125,7 @@ def count_many(
     if ks is None and lo <= x:  # every gcd value up to x, not only up to the last checkpoint
         _gcd_block(seq, lo, x, wanted, witness_cap, running, first_wits)
 
-    keys = sorted(running) if ks is None else list(ks)
+    keys = sorted(running) if ks is None else wanted
     out: dict[int, list[CountReport]] = {}
     for k in keys:
         reports = []
@@ -176,15 +177,14 @@ def verify_structure(k: int, x: int, cache: RankCache | None = None) -> bool:
     if not 1 <= x <= STRUCTURE_CAP:
         raise OutOfRangeError(f"structure scan limit {x} outside [1, {STRUCTURE_CAP}]")
     cache = _cache_for(None, cache)
-    verdict = is_member(k, cache)
-    if not verdict.member:
+    if not is_member(k, cache).member:
         raise NonMemberError(f"A_{k} is empty; the structural decomposition needs a member")
-    ell_k = verdict.ell_k
-    cap = x // ell_k
-    z_primes = (pp.p for pp in arith.factor(rank_mod._rank_with(cache, k).z).factors)
-    gens = _generators(cache, verdict, sorted(set(arith.primes_upto(cap)).union(z_primes)), cap)
+    rec = rank_mod._rank_with(cache, k)
+    cap = x // rec.ell
+    z_primes = (pp.p for pp in arith.factor(rec.z).factors)
+    gens = _generators(cache, rec, sorted(set(arith.primes_upto(cap)).union(z_primes)), cap)
     allowed = _nonmultiples(gens.elements(), cap)
-    structural = [ell_k * m for m in range(1, cap + 1) if allowed[m]]
+    structural = [rec.ell * m for m in range(1, cap + 1) if allowed[m]]
     return structural == list(iter_Ak(k, x, seq=cache.seq))
 
 

@@ -163,7 +163,7 @@ def _prime_rank_lucas(cache: RankCache, p: int) -> int:
 def _prime_power_rank(cache: RankCache, p: int, e: int) -> int:
     """z(p^e): z(p) for e = 1, else lifted from z(p^(e-1)): unchanged if
     p^e already divides that term, else multiplied by p."""
-    if p**e > arith.U64_MAX:
+    if e >= 64 or p**e > arith.U64_MAX:  # p >= 2, so p^64 > 2^64 - 1
         raise OutOfRangeError(f"{p}^{e} out of supported range [1, 2^64 - 1]")
     if e == 1:
         return cache._prime_rank(p)

@@ -48,7 +48,7 @@ def parse_by_halves(s: str) -> int:
 
 
 class TestIntStr:
-    """_int_str renders ints above _STR_BITS by binary halves; it must equal str()."""
+    """_int_str renders every int by binary halves; it must equal str()."""
 
     def test_small(self, no_digit_guard):
         for n in (0, 1, -1, 9, -10, 2**64, -(2**64) + 1):

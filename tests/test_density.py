@@ -32,7 +32,7 @@ from fibrank import (
     rank,
 )
 from fibrank import arith
-from fibrank.density import J, MembershipVerdict, _EllOfDK, _exact_sum, _partial_sum, _terms
+from fibrank.density import J, MembershipVerdict, _EllOfDK, _exact_sum, _terms
 from fibrank.rank import RankCache, _rank_with, default_cache
 
 PELL = LucasParams(2, 1)
@@ -396,7 +396,7 @@ class TestInclusionExclusion:
         monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
         assert lucas_rank(seq, depth).z == depth + 1
         cache = RankCache(seq)
-        lhs = _partial_sum(_EllOfDK(cache, 1, depth, depth, False, 1), depth)
+        lhs = _exact_sum(_terms(_EllOfDK(cache, 1, depth, depth, False, 1), 0, depth, True))
         assert arith._SIEVE[0] == depth
         assert lhs == lucas_density_series(seq, 1, depth, RankCache(seq)).partial_sum
 

@@ -85,6 +85,7 @@ class TestFibPairMod:
         assert fib_pair_mod(10, 11) == (0, 1)
         assert fib_pair_mod(6, 7) == (1, 6)
         assert fib_pair_mod(123456789, 1) == (0, 0)
+        assert fib_pair_mod(0, 1) == (0, 0)
 
     def test_exhaustive_small_grid(self):
         for m in range(1, 60):
@@ -179,6 +180,11 @@ class TestLucasPairMod:
     def test_a2_two_example(self):
         assert lucas_pair_mod(LucasParams(1, 2), 6, 1000) == (21, 43)
 
+    def test_modulus_one(self):
+        for seq in (FIBONACCI, LucasParams(2, 1), LucasParams(1, 2)):
+            for n in (0, 1, 7):
+                assert lucas_pair_mod(seq, n, 1) == (0, 0), (seq, n)
+
     @given(valid_params(), st.integers(0, 120), st.integers(1, 10**4))
     def test_matches_recurrence(self, seq, n, m):
         us = lucas_list(seq.a1, seq.a2, n + 1)
@@ -216,6 +222,8 @@ class TestLucasValuation:
     def test_overflow(self):
         with pytest.raises(OutOfRangeError):
             lucas_valuation(FIBONACCI, 2, 6, 65)
+        with pytest.raises(OutOfRangeError):  # fails before 3^(2^63) is built
+            lucas_valuation(LucasParams(2, 1), 3, 12, 2**63)
 
     @given(valid_params(), st.integers(1, 80))
     def test_matches_exact_valuation(self, seq, n):

@@ -363,3 +363,21 @@ class TestStructureNeedsMember:
 
         with pytest.raises(NonMemberError):
             verify_structure(2, 500, RankCache(LucasParams(1, 2)))
+
+
+class TestIterableArguments:
+    """ks and checkpoints may be any iterable: each is read once, and an
+    empty checkpoint iterable reports at x, as [] and None do."""
+
+    def test_count_many_reads_iterables_once(self):
+        listed = count_many([5, 1, 2, 5], 1000, [100, 1000], witness_cap=3)
+        assert list(listed) == [5, 1, 2]
+        assert count_many(iter([5, 1, 2, 5]), 1000, iter([1000, 100]), witness_cap=3) == listed
+        assert count_many([1], 50, iter([])) == count_many([1], 50, []) == count_many([1], 50)
+
+    def test_scans_read_checkpoint_iterables(self):
+        gamma = Fraction(1, 2)
+        assert scan_B(300, (x for x in (300, 30))) == scan_B(300, [30, 300])
+        assert scan_B(50, iter([])) == scan_B(50, []) == scan_B(50)
+        assert scan_low_rank_primes(gamma, 300, iter([30, 300])) == scan_low_rank_primes(gamma, 300, [30, 300])
+        assert scan_low_rank_primes(gamma, 50, iter([])) == scan_low_rank_primes(gamma, 50)

@@ -164,6 +164,8 @@ class TestRankPrimePower:
     def test_overflow(self):
         with pytest.raises(OutOfRangeError):
             rank_prime_power(3, 41)
+        with pytest.raises(OutOfRangeError):  # fails before 7^(2^63) is built
+            rank_prime_power(7, 2**63)
 
     def test_cold_high_power_vs_naive(self):
         # each power is lifted from the one below it, also on a cold cache
@@ -283,6 +285,18 @@ class TestLucasRank:
         cache = RankCache(LucasParams(2, 1))
         with pytest.raises(ValueError):
             lucas_rank(LucasParams(1, 2), 3, cache)
+
+
+class TestRankCacheClear:
+    @pytest.mark.parametrize("seq", [FIBONACCI, LucasParams(2, 1)], ids=str)
+    def test_clear_empties_tables_and_ranks_again(self, seq):
+        cache = RankCache(seq)
+        ms = (8, 25, 49, 60, 97, 1001)
+        before = [lucas_rank(seq, m, cache) for m in ms]
+        assert cache._prime_z and cache._ppow_z and cache._records
+        cache.clear()
+        assert not cache._prime_z and not cache._ppow_z and not cache._records
+        assert [lucas_rank(seq, m, cache) for m in ms] == before
 
 
 class TestClosedFormPrimeRanks:
