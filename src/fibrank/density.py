@@ -18,9 +18,10 @@ and is at most 3 for q = 2, so an odd p | z(q) is q or divides the even
 number q -+ 1.
 
 A grouped p divides ell(dk) exactly once when p | d, and not at all
-otherwise.  The primes of dk are those of d, all admitted and <= hi, and
-those of k, whose ranks divide ell(k); so p | z(dk) only through z(p),
-which the test keeps prime to p.  p divides neither j nor k, so p || dk.
+otherwise.  ell(dk) = lcm(dk, z(k), z(q) for each prime q of d) (see
+_EllOfDK), and p divides neither z(k), a divisor of ell(k), nor the z(q)
+of the admitted primes q <= hi, which the test keeps prime to p.  p
+divides neither j nor k, so p || dk.
 Every summand is a node (n, P, C) for n/(P*C): the terms d = jp of a
 grouped p add up to one node, with P = p, which enters no gcd (see
 _exact_sum), or with P = 1 when p cancels from their sum, since C, the lcm
@@ -112,8 +113,8 @@ class GeneratorSet:
             raise ValueError("prime_part must be sorted")
         if [p for p, _ in self.ratio_part] != sorted(p for p, _ in self.ratio_part):
             raise ValueError("ratio_part must be sorted by prime")
-        if 1 in self.prime_part or any(r == 1 for _, r in self.ratio_part):
-            raise ValueError("1 is never a generator")
+        if any(p < 2 for p in self.prime_part) or any(r < 2 for _, r in self.ratio_part):
+            raise ValueError("every generator is at least 2")
 
     def elements(self) -> list[int]:
         """Distinct generator values, sorted (L_k is a set; ratios may collide)."""
@@ -191,13 +192,21 @@ class _EllOfDK:
     ell(dk) for a squarefree d <= hi.  The series is validated before the
     sieve is built.
 
-    ell(dk) shares the z-values of k's prime powers: z(p^e) divides
-    z(p^(e+1)), so it starts from z(k) and takes the lcm with the cached
-    z(p^(e+1)) for each p | gcd(d, k) and with z(p) for each other prime
-    p of d.
+    For squarefree d, ell(dk) = lcm(dk, z(k), z(p) for each prime p of d),
+    the formula _generators uses for ell(kp), so a window reads only k's
+    record and prime ranks.  z(dk) is the lcm of the z of dk's prime
+    powers, so the formula holds at once unless some prime q of d divides
+    k.  Let q^e || k: z(dk) then takes z(q^(e+1)) for z(q^e), and
+    z(q^(e+1)) is z(q^e) or q z(q^e), the lift of rank._prime_power_rank
+    (z(q) divides z(q^e), so the formula's z(q) adds nothing).  Also
+    nu_q(z(q^(e+1))) <= e + 1, because nu_q(z(q)) <= 1: z(q) divides
+    q - (disc/q), or is q for an odd q | disc, or is 2 or 3 for q = 2.  So
+    z(q^(e+1)) divides lcm(q^(e+1), z(q^e)), and dk already holds
+    q^(e+1).  Once q^(e+1) passes 64 bits, so does dk, and checked_lcm
+    raises OutOfRangeError.
     """
 
-    __slots__ = ("avoid", "ell_k", "k", "mu", "prime_rank", "spf", "z_bump", "z_k")
+    __slots__ = ("avoid", "ell_k", "k", "mu", "prime_rank", "spf", "z_k")
 
     def __init__(self, cache: RankCache, k: int, depth: int, hi: int, coprime_to_k: bool, threads: int):
         if k < 1:
@@ -213,22 +222,16 @@ class _EllOfDK:
         # gcd(d, ab) = 1 iff gcd(d, a) = gcd(d, b) = 1, so one gcd skips the d sharing a
         # factor with a2 and, for the B_k series, with k
         self.avoid = abs(cache.seq.a2) * (k if coprime_to_k else 1)
-        self.z_bump = {}
-        for pp in arith.factor(k).factors:
-            # once p^(e+1) passes 64 bits, so does ell(dk) for every d that p divides
-            if pp.p ** (pp.e + 1) <= arith.U64_MAX:
-                self.z_bump[pp.p] = rank_mod._prime_power_rank(cache, pp.p, pp.e + 1)
         self.mu, self.spf = arith.mobius_spf_sieve(hi)
 
     def __call__(self, d: int) -> int:
         lcm = math.lcm
-        z_bump = self.z_bump
         z = self.z_k
         n = d
         while n > 1:
             p = self.spf[n]
             n //= p
-            z = lcm(z, z_bump[p] if p in z_bump else self.prime_rank(p))
+            z = lcm(z, self.prime_rank(p))
         return arith.checked_lcm(d * self.k, z)
 
 

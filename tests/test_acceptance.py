@@ -152,6 +152,16 @@ def test_criterion_05_vanishing_series_for_nonmembers():
     print("ACCEPTANCE 05 |series(1e5)| <= 0.01 for non-members: PASS")
 
 
+def test_census_matches_counting_identity(census_1e6, series_count):
+    # criteria 4 and 5 hold the series to the census within 0.01; at x = 1e6
+    # the finite counting identity holds exactly, for members and non-members
+    cache = default_cache()  # the ranks criterion 4's series computed
+    for k in MEMBER_KS + NONMEMBER_KS:
+        count = census_1e6[k][0].count if k in census_1e6 else 0
+        assert series_count(cache, k, SCAN) == count, k
+    print("ACCEPTANCE 04/05 #A_k(1e6) equals the counting identity exactly: PASS")
+
+
 def test_criterion_06_inclusion_exclusion_exact_zero():
     for k in range(1, 31):
         gap = inclusion_exclusion_check(k, 1000)[2]

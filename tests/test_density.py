@@ -462,6 +462,12 @@ class TestGenerators:
         with pytest.raises(ValueError):
             GeneratorSet(2, (2,), ((3, 1),), 5)  # ratio 1 forbidden
         with pytest.raises(ValueError):
+            GeneratorSet(1, (), ((2, -1),), 10)  # negative ratio: the product (1 - 1/s) would exceed 1
+        with pytest.raises(ValueError):
+            GeneratorSet(1, (), ((2, 0),), 10)  # ratio 0: 1/s is undefined
+        with pytest.raises(ValueError):
+            GeneratorSet(1, (-3,), (), 10)  # negative prime part
+        with pytest.raises(ValueError):
             GeneratorSet(6, (3, 2), (), 5)  # unsorted primes
 
 
@@ -578,6 +584,29 @@ class TestEllOfDK:
             for d in range(1, 3001):
                 if ell_dk.mu[d]:
                     assert ell_dk(d) == _rank_with(ref, d * k).ell, (k, d)
+
+    @pytest.mark.parametrize("seq", [FIBONACCI, PELL], ids=["fibonacci", "pell"])
+    @pytest.mark.parametrize("k", [2**10, 3**7, 5**3, 13**3, 2**62, 5**27])
+    def test_high_prime_powers_of_k(self, seq, k):
+        # each d divisible by the prime q of k = q^e puts q^(e+1) into dk; with
+        # 2^62 and 5^27 many of those ell(dk), and dk itself, pass 64 bits
+        ref = RankCache(seq)
+        if seq == PELL and k == 5**27:  # ell(k) = 3 * 5^27 passes 64 bits
+            with pytest.raises(OutOfRangeError):
+                _rank_with(ref, k)
+            with pytest.raises(OutOfRangeError):
+                _EllOfDK(RankCache(seq), k, 2000, 2000, False, 1)
+            return
+        ell_dk = _EllOfDK(RankCache(seq), k, 2000, 2000, False, 1)
+        for d in range(1, 2001):
+            if ell_dk.mu[d]:
+                try:
+                    expected = _rank_with(ref, d * k).ell
+                except OutOfRangeError:
+                    with pytest.raises(OutOfRangeError):
+                        ell_dk(d)
+                else:
+                    assert ell_dk(d) == expected, (k, d)
 
 
 class TestSharedPrimeWithA2:

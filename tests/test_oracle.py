@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fibrank import (
     FIBONACCI,
@@ -310,6 +311,25 @@ class TestLucasGridDifferential:
                     assert verify_structure(k, 1000, cache), (seq, k)
                     checked += 1
         assert checked == 234
+
+
+class TestCountingIdentity:
+    """#A_k(x) from enumeration against the exact counting identity
+    (conftest._series_count) over small Lucas pairs: every gcd value that
+    occurs up to x, and a few drawn k, members or not."""
+
+    @given(
+        seq=st.sampled_from(small_lucas_params(9)),
+        x=st.integers(500, 8000),
+        drawn=st.lists(st.integers(1, 60), max_size=4),
+    )
+    def test_lucas_pairs_vs_enumeration(self, series_count, seq, x, drawn):
+        from fibrank import RankCache
+
+        counts = {k: reports[0].count for k, reports in count_many(None, x, seq=seq).items()}
+        cache = RankCache(seq)
+        for k in sorted(counts.keys() | {k for k in drawn if math.gcd(k, seq.a2) == 1}):
+            assert series_count(cache, k, x) == counts.get(k, 0), (seq, k, x)
 
 
 _FIVE_PAIRS = [FIBONACCI, LucasParams(2, 1), LucasParams(1, 2), LucasParams(3, -2), LucasParams(3, 1)]
