@@ -102,11 +102,11 @@ def count_many(
     seq: LucasParams = FIBONACCI,
     threads: int = 1,
 ) -> dict[int, list[CountReport]]:
-    """Count A_k(checkpoint) for several k in one shared pass over n <= x.
+    """Count A_k(checkpoint) for several k in one shared pass over n.
 
-    ks may be None to report every gcd value that occurs, or any iterable,
-    read once.  The scan walks n = 1..x once regardless of how many k are
-    requested.
+    ks may be None to report every gcd value that occurs up to x, or any
+    iterable, read once.  The scan walks n = 1..x when ks is None, else
+    only up to the last checkpoint, once however many k are requested.
     """
     if not 1 <= x <= SCAN_CAP:
         raise OutOfRangeError(f"scan limit {x} outside [1, {SCAN_CAP}]")
@@ -118,12 +118,11 @@ def count_many(
     first_wits: dict[int, list[int]] = {}
     at_checkpoint: dict[int, dict[int, int]] = {}
     lo = 1
-    for cp in checkpoints:
+    # with ks None the keys are the gcd values up to x; if x is a checkpoint, its second span is empty
+    for cp in checkpoints + ([x] if ks is None else []):
         _gcd_block(seq, lo, cp, wanted, witness_cap, running, first_wits)
         at_checkpoint[cp] = dict(running)
         lo = cp + 1
-    if ks is None and lo <= x:  # every gcd value up to x, not only up to the last checkpoint
-        _gcd_block(seq, lo, x, wanted, witness_cap, running, first_wits)
 
     keys = sorted(running) if ks is None else wanted
     out: dict[int, list[CountReport]] = {}

@@ -35,7 +35,8 @@ class RankRecord:
 
 
 class RankCache:
-    """Memo tables for one sequence: prime ranks and whole records.
+    """Memo tables for one sequence: ranks of primes and prime powers,
+    and whole records.
 
     The cache also fixes which prime-rank algorithm its users run: the
     Fibonacci-specific one, or the generalized Lucas one (which is also
@@ -57,8 +58,7 @@ class RankCache:
         else:
             self.pair_mod = fib_pair_mod
             self._prime_algorithm = _prime_rank_fib
-        self._prime_z: dict[int, int] = {}
-        self._ppow_z: dict[tuple[int, int], int] = {}
+        self._prime_z: dict[int, int] = {}  # z(q) for primes and prime powers q
         self._records: dict[int, RankRecord] = {}
 
     def _prime_rank(self, p: int) -> int:
@@ -67,7 +67,6 @@ class RankCache:
 
     def clear(self):
         self._prime_z.clear()
-        self._ppow_z.clear()
         self._records.clear()
 
 
@@ -161,19 +160,17 @@ def _prime_rank_lucas(cache: RankCache, p: int) -> int:
 
 
 def _prime_power_rank(cache: RankCache, p: int, e: int) -> int:
-    """z(p^e): z(p) for e = 1, else lifted from z(p^(e-1)): unchanged if
-    p^e already divides that term, else multiplied by p."""
+    """z(p^e), lifted from z(p) one power at a time: z(p^i) is z(p^(i-1))
+    if p^i already divides that term, else p z(p^(i-1)).  Each z(p^i) is
+    kept in the prime-rank table under the key p^i, which no prime equals."""
     if e >= 64 or p**e > arith.U64_MAX:  # p >= 2, so p^64 > 2^64 - 1
         raise OutOfRangeError(f"{p}^{e} out of supported range [1, 2^64 - 1]")
-    if e == 1:
-        return cache._prime_rank(p)
-    z = cache._ppow_z.get((p, e))
-    if z is not None:
-        return z
-    z = _prime_power_rank(cache, p, e - 1)
-    if cache.pair_mod(z, p**e)[0] != 0:
-        z *= p
-    cache._ppow_z[(p, e)] = z
+    z = cache._prime_rank(p)
+    for i in range(2, e + 1):
+        q = p**i
+        if q not in cache._prime_z:
+            cache._prime_z[q] = z if cache.pair_mod(z, q)[0] == 0 else z * p
+        z = cache._prime_z[q]
     return z
 
 

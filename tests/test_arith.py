@@ -131,6 +131,23 @@ class TestFactor:
             Factorization(12, (PrimePower(2, 2),))  # wrong product
 
 
+class TestPollardBrentBacktrack:
+    """Semiprimes whose two primes show up in the same block of products, so
+    gcd(q, n) = n and Brent's rho (c = 1) backtracks one step at a time
+    from ys."""
+
+    SEMIPRIMES = (1009 * 1049, 1009 * 1061, 1009 * 1069, 1009 * 1087, 1009 * 1097)
+
+    def test_factor_without_sieve(self, monkeypatch):
+        monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
+        assert as_pairs(factor(1009 * 1049)) == [(1009, 1), (1049, 1)]
+
+    @pytest.mark.parametrize("n", SEMIPRIMES)
+    def test_proper_factor(self, n):
+        g = arith._pollard_brent(n)
+        assert 1 < g < n and n % g == 0
+
+
 class TestFactorSievePath:
     """n up to the cached sieve limit is factored by smallest-prime-factor
     division; the sieve is set with monkeypatch so none of it leaks."""

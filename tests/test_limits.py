@@ -1,5 +1,6 @@
-"""Size caps and worker counts: every size input that sizes an allocation
-fails fast above its cap, and no thread count ever starts a thread."""
+"""Size caps, input checks and worker counts: every size input that sizes
+an allocation fails fast above its cap, every documented rejection raises
+its exception with its message, and no thread count ever starts a thread."""
 
 import threading
 from fractions import Fraction
@@ -8,19 +9,38 @@ import pytest
 
 from fibrank import (
     GeneratorSet,
+    LucasParams,
+    MembershipVerdict,
     OutOfRangeError,
+    RankCache,
+    RankUndefinedError,
+    SeriesApproximation,
+    count_Ak,
     count_many,
     density_bk_series,
     density_series,
+    fib_exact,
+    fib_pair_mod,
+    fib_valuation,
+    gcd_lcm,
+    gcd_n_fib,
+    gcd_n_lucas,
     inclusion_exclusion_check,
+    is_member,
     lk_generators,
+    lucas_pair_mod,
+    lucas_valuation,
     nonmultiple_density,
     partial_ell_sum,
+    rank_naive,
+    rank_prime_power,
     scan_B,
     scan_low_rank_primes,
 )
 from fibrank import arith, density, oracle
 from fibrank.cli import main
+
+PELL = LucasParams(2, 1)
 
 
 @pytest.fixture
@@ -90,6 +110,71 @@ class TestCaps:
         assert oracle.B_SCAN_CAP >= 100_000 and oracle.STRUCTURE_CAP >= 100_000
 
 
+# (call, exception type, message): each input check that no other test reaches
+REJECTIONS = {
+    "density_series-k": (lambda: density_series(0, 10), ValueError, "need k >= 1, got 0"),
+    "is_member-k": (lambda: is_member(0), ValueError, "need k >= 1, got 0"),
+    "density_series-depth": (lambda: density_series(1, 0), ValueError, "need depth >= 1, got 0"),
+    "lk_generators-p_bound": (lambda: lk_generators(1, 1), ValueError, "need p_bound >= 2, got 1"),
+    "count_Ak-checkpoint-above-x": (lambda: count_Ak(1, 10, [11]), ValueError, "checkpoints must lie in [1, x]"),
+    "count_Ak-checkpoint-zero": (lambda: count_Ak(1, 10, [0]), ValueError, "checkpoints must lie in [1, x]"),
+    "scan_low_rank_primes-x": (lambda: scan_low_rank_primes(Fraction(1, 2), 0), ValueError, "need x >= 1, got 0"),
+    "partial_ell_sum-N": (lambda: partial_ell_sum(0), ValueError, "need N >= 1, got 0"),
+    "nonmultiple_density-x": (lambda: nonmultiple_density(lk_generators(1, 5), 0), ValueError, "need x >= 1, got 0"),
+    "rank_prime_power-p": (lambda: rank_prime_power(4, 2), ValueError, "4 is not prime"),
+    "rank_prime_power-e": (lambda: rank_prime_power(7, 0), ValueError, "need e >= 1, got 0"),
+    "rank_naive-m": (lambda: rank_naive(0), ValueError, "need m >= 1, got 0"),
+    "RankCache-fibonacci-algorithms": (
+        lambda: RankCache(PELL, lucas_algorithms=False),
+        ValueError,
+        "the Fibonacci-specific algorithms only apply to (a1, a2) = (1, 1)",
+    ),
+    "fib_exact-n": (lambda: fib_exact(-1), ValueError, "Fibonacci index must be >= 0, got -1"),
+    "fib_pair_mod-n": (lambda: fib_pair_mod(-1, 7), ValueError, "Fibonacci index must be >= 0, got -1"),
+    "lucas_pair_mod-n": (lambda: lucas_pair_mod(PELL, -1, 7), ValueError, "Lucas index must be >= 0, got -1"),
+    "gcd_n_fib-n": (lambda: gcd_n_fib(0), ValueError, "need n >= 1, got 0"),
+    "gcd_n_lucas-n": (lambda: gcd_n_lucas(PELL, 0), ValueError, "need n >= 1, got 0"),
+    "fib_valuation-n": (lambda: fib_valuation(7, 0), ValueError, "need n >= 1, got 0"),
+    "lucas_valuation-p": (lambda: lucas_valuation(PELL, 4, 3, 2), ValueError, "4 is not prime"),
+    "lucas_valuation-n": (lambda: lucas_valuation(PELL, 3, 0, 2), ValueError, "need n >= 1 and precision >= 1"),
+    "gcd_lcm-negative": (lambda: gcd_lcm(-1, 2), ValueError, "gcd_lcm needs nonnegative arguments"),
+    "MembershipVerdict-g": (lambda: MembershipVerdict(2, 3, 2, True), ValueError, "g must divide ell_k"),
+    "MembershipVerdict-g-zero": (lambda: MembershipVerdict(2, 4, 0, False), ValueError, "g = 0 requires ell_k = 0"),
+    "SeriesApproximation-partial": (
+        lambda: SeriesApproximation(1, 1, Fraction(2), Fraction(0), 2.0),
+        ValueError,
+        "partial sums of mu(d)/ell(dk) stay within [-1, 1]",
+    ),
+    "SeriesApproximation-tail": (
+        lambda: SeriesApproximation(1, 1, Fraction(0), Fraction(-1), 0.0),
+        ValueError,
+        "tail window is a sum of positive terms",
+    ),
+    "GeneratorSet-order": (
+        lambda: GeneratorSet(1, (), ((3, 4), (2, 3)), 5),
+        ValueError,
+        "ratio_part must be sorted by prime",
+    ),
+    "scan_B-limit": (
+        lambda: scan_B(oracle.B_SCAN_CAP + 1),
+        OutOfRangeError,
+        f"membership scan limit {oracle.B_SCAN_CAP + 1} outside [1, {oracle.B_SCAN_CAP}]",
+    ),
+    "prime_rank-undefined": (
+        lambda: RankCache(LucasParams(1, 2))._prime_rank(2),
+        RankUndefinedError,
+        "z(2) undefined: 2 divides a2 = 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_rejection(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 class TestWorkers:
     """threads is validated (negative is a ValueError) and otherwise ignored:
     whatever its value, the work runs in the calling thread."""
@@ -101,19 +186,19 @@ class TestWorkers:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
 
-    def test_count_clamped_to_cpus(self, no_threads):
+    def test_count_ignores_threads(self, no_threads):
         assert count_many(None, 3000, threads=10**5) == count_many(None, 3000, threads=1)
 
-    def test_series_clamped_to_cpus(self, no_threads):
+    def test_series_ignores_threads(self, no_threads):
         assert density_series(2, 2000, threads=10**5) == density_series(2, 2000, threads=1)
 
-    def test_scan_b_clamped_to_spans(self, no_threads):
+    def test_scan_b_ignores_threads(self, no_threads):
         assert scan_B(300, [100, 200, 300], threads=10**5) == scan_B(300, [100, 200, 300], threads=1)
 
-    def test_zero_means_one_per_cpu(self, no_threads):
+    def test_count_ignores_zero_threads(self, no_threads):
         assert count_many(None, 3000, threads=0) == count_many(None, 3000, threads=1)
 
-    def test_cli_threads_clamped(self, no_threads, capsys):
+    def test_cli_ignores_threads(self, no_threads, capsys):
         assert main(["count", "1", "--limit", "5000", "--threads", "100000"]) == 0
 
     @pytest.mark.parametrize(

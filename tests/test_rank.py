@@ -2,7 +2,11 @@
 multiplicative fast path; here it is grounded against exact Fibonacci
 divisibility first, then everything else is measured against it."""
 
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, strategies as st
@@ -293,10 +297,38 @@ class TestRankCacheClear:
         cache = RankCache(seq)
         ms = (8, 25, 49, 60, 97, 1001)
         before = [lucas_rank(seq, m, cache) for m in ms]
-        assert cache._prime_z and cache._ppow_z and cache._records
+        # prime powers share the prime-rank table: 8 = 2^3, 25 = 5^2, 49 = 7^2
+        assert {2, 4, 8, 5, 25, 7, 49} <= cache._prime_z.keys() and cache._records
         cache.clear()
-        assert not cache._prime_z and not cache._ppow_z and not cache._records
+        assert not cache._prime_z and not cache._records
         assert [lucas_rank(seq, m, cache) for m in ms] == before
+
+
+class TestTracerView:
+    """perfbench/tracing.py counts prime-rank lookups and prime-power lifts
+    by wrapping the rank engine's module functions; a rank change that
+    bypasses them would zero its rank.* metrics without failing a digest."""
+
+    SCRIPT = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import tracing
+tracer = tracing.install()
+from fibrank import RankCache, density_series, rank
+density_series(1, 2000, RankCache())
+cache = RankCache()
+for m in (2**10, 3**7, 5**5 * 7**3, 2**10 * 3):
+    rank(m, cache)
+print(json.dumps(tracing.layer_metrics(tracer.summary(), 1)))
+"""
+
+    def test_rank_metrics_see_lookups_and_lifts(self):
+        root = Path(__file__).resolve().parent.parent
+        argv = [sys.executable, "-c", self.SCRIPT, str(root / "perfbench"), str(root / "src")]
+        out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=60).stdout
+        metrics = json.loads(out)
+        assert 0 < metrics["rank.prime_rank_computed"] < metrics["rank.prime_rank_calls"]
+        assert metrics["rank.ppow_lifts"] > 0
 
 
 class TestClosedFormPrimeRanks:
