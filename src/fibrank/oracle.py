@@ -6,11 +6,19 @@ nonmultiple_density is a naive sieve, so these results can ground the
 formula-based paths.  The rest goes through ranks: the structural side of
 verify_structure builds L_k from ell(kp), scan_B applies the membership
 criterion, scan_low_rank_primes compares z(p) with p^gamma and
-partial_ell_sum sums 1/ell(n).  Every scan is one serial pass; the threads
-arguments are validated and otherwise ignored.
+partial_ell_sum sums 1/ell(n).
+
+count_many (and count_Ak through it) splits n = 1..x into contiguous spans
+and runs them in up to `threads` forked worker processes (0: one per CPU),
+merging the tallies in span order, so every report is the one the serial
+pass gives.  Every other scan is one serial pass; their threads arguments
+are validated and otherwise ignored.
 """
 
+import marshal
 import math
+import os
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +31,10 @@ from .fib import FIBONACCI, LucasParams, gcd_n_fib, gcd_n_lucas
 from .rank import RankCache, _cache_for
 
 SCAN_CAP = 10**8
+# n per worker below which count_many stays serial.  On a 2-CPU host two
+# workers of 10,000 n each took 0.038 s against 0.034 s for the serial pass,
+# and two of 20,000 n each 0.11 s against 0.15 s.
+FORK_MIN_SPAN = 20_000
 B_SCAN_CAP = 10**5
 STRUCTURE_CAP = 10**7
 # z(p)^Q <= p^A is exact, so its cost grows with the denominator Q of gamma
@@ -93,6 +105,68 @@ def _gcd_block(seq: LucasParams, lo: int, hi: int, wanted, witness_cap: int, cou
                 lst.append(n)
 
 
+def _tally_spans(seq: LucasParams, wanted, witness_cap: int, spans) -> list:
+    """[(counts, wits)] of _gcd_block over each span (lo, hi] of n."""
+    tallies = []
+    for lo, hi in spans:
+        counts, wits = {}, {}
+        _gcd_block(seq, lo + 1, hi, wanted, witness_cap, counts, wits)
+        tallies.append((counts, wits))
+    return tallies
+
+
+def _workers(threads: int, n: int) -> int:
+    """How many processes should scan n values: threads (0: one per CPU),
+    at most one per CPU and one per FORK_MIN_SPAN values, and 1 where
+    forking is unsafe or unavailable."""
+    if threads == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(threads or cpus, cpus, n // FORK_MIN_SPAN))
+
+
+def _fork_map(fn, items: list) -> list:
+    """[fn(item) for item in items], each call in its own forked child.
+
+    A child sends its result back marshalled through a pipe and leaves by
+    os._exit on every path, so it flushes no inherited stdio buffer and runs
+    no atexit handler.  Every child is reaped before this returns; if the
+    parent fails or is interrupted, the children still running are killed
+    first.  A child that exits nonzero raises ChildProcessError.
+    """
+    import signal  # only forking callers pay for importing it
+
+    children = []  # (pid, read end of its pipe)
+    outputs = None
+    try:
+        for item in items:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    with open(w, "wb") as pipe:
+                        marshal.dump(fn(item), pipe)
+                    status = 0
+                except Exception as exc:
+                    os.write(2, f"fibrank worker {os.getpid()} failed: {exc!r}\n".encode())
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        outputs = [pipe.read() for _, pipe in children]
+    finally:
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            if outputs is None:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    if any(statuses):
+        raise ChildProcessError(f"worker processes exited with status {statuses}")
+    return [marshal.loads(out) for out in outputs]
+
+
 def count_many(
     ks,
     x: int,
@@ -107,6 +181,14 @@ def count_many(
     ks may be None to report every gcd value that occurs up to x, or any
     iterable, read once.  The scan walks n = 1..x when ks is None, else
     only up to the last checkpoint, once however many k are requested.
+
+    threads is the number of worker processes (0: one per CPU), capped at
+    the CPU count and at one per FORK_MIN_SPAN values of n.  Each worker
+    scans one contiguous run of n, cut at every checkpoint, and the parent
+    adds the counts and joins the witnesses in order of n, so the reports
+    are the same for every threads value.  The scan is serial for
+    threads = 1, below that size, without os.fork, and while another
+    thread runs, since forking a threaded process is unsafe.
     """
     if not 1 <= x <= SCAN_CAP:
         raise OutOfRangeError(f"scan limit {x} outside [1, {SCAN_CAP}]")
@@ -114,22 +196,33 @@ def count_many(
     _check_threads(threads)
     wanted = None if ks is None else dict.fromkeys(ks)  # ordered, without repeats
 
+    # with ks None the keys are the gcd values up to x
+    last = x if ks is None else checkpoints[-1]
+    workers = _workers(threads, last)
+    cuts = [last * i // workers for i in range(1, workers + 1)]
+    ends = sorted(set(cuts).union(checkpoints))
+    spans = list(zip([0, *ends], ends))
+    groups = [[span for span in spans if lo < span[1] <= hi] for lo, hi in zip([0, *cuts], cuts)]
+    scan = partial(_tally_spans, seq, wanted, witness_cap)
+    tallies = [tally for group in (map if workers == 1 else _fork_map)(scan, groups) for tally in group]
+
     running: dict[int, int] = {}
     first_wits: dict[int, list[int]] = {}
-    at_checkpoint: dict[int, dict[int, int]] = {}
-    lo = 1
-    # with ks None the keys are the gcd values up to x; if x is a checkpoint, its second span is empty
-    for cp in checkpoints + ([x] if ks is None else []):
-        _gcd_block(seq, lo, cp, wanted, witness_cap, running, first_wits)
-        at_checkpoint[cp] = dict(running)
-        lo = cp + 1
+    at_end: dict[int, dict[int, int]] = {}
+    for (_, hi), (counts, wits) in zip(spans, tallies):
+        for g, c in counts.items():
+            running[g] = running.get(g, 0) + c
+        for g, ns in wits.items():
+            lst = first_wits.setdefault(g, [])
+            lst += ns[: witness_cap - len(lst)]
+        at_end[hi] = dict(running)
 
     keys = sorted(running) if ks is None else wanted
     out: dict[int, list[CountReport]] = {}
     for k in keys:
         reports = []
         for cp in checkpoints:
-            c = at_checkpoint[cp].get(k, 0)
+            c = at_end[cp].get(k, 0)
             wits = tuple(w for w in first_wits.get(k, ()) if w <= cp) if witness_cap else None
             reports.append(CountReport(k, cp, c, c / cp, wits))
         out[k] = reports

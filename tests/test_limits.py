@@ -1,13 +1,19 @@
 """Size caps, input checks and worker counts: every size input that sizes
 an allocation fails fast above its cap, every documented rejection raises
-its exception with its message, and no thread count ever starts a thread."""
+its exception with its message, no thread count ever starts a thread, and
+count_many's worker processes give the serial result and never outlive it."""
 
+import os
+import signal
+import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
 
 from fibrank import (
+    FIBONACCI,
     GeneratorSet,
     LucasParams,
     MembershipVerdict,
@@ -176,8 +182,10 @@ def test_rejection(call, error, message):
 
 
 class TestWorkers:
-    """threads is validated (negative is a ValueError) and otherwise ignored:
-    whatever its value, the work runs in the calling thread."""
+    """threads is validated (negative is a ValueError).  count_many forks up
+    to threads worker processes, one per CPU at most, and reports the same
+    for every worker count; every other scan ignores threads.  No thread is
+    ever started, and no worker process outlives the call."""
 
     @pytest.fixture
     def no_threads(self, monkeypatch):
@@ -186,20 +194,116 @@ class TestWorkers:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
 
-    def test_count_ignores_threads(self, no_threads):
-        assert count_many(None, 3000, threads=10**5) == count_many(None, 3000, threads=1)
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Small scans fork, and the pids of the forked workers are listed."""
+        monkeypatch.setattr(oracle, "FORK_MIN_SPAN", 100)
+        pids = []
+        real_fork = os.fork
+
+        def counted_fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return pids
+
+    @pytest.mark.parametrize("seq", [FIBONACCI, LucasParams(1, 3)], ids=["fibonacci", "lucas-1-3"])
+    @pytest.mark.parametrize("ks", [None, [1, 2, 5, 12, 4, 25]], ids=["all-k", "k-list"])
+    @pytest.mark.parametrize("witness_cap", [0, 3])
+    # with ks None, 999 and 1499 are worker cuts on three and two workers
+    @pytest.mark.parametrize("checkpoints", [None, [700, 999, 1499, 2200]], ids=["at-x", "inside-spans"])
+    def test_count_same_for_every_worker_count(self, seq, ks, witness_cap, checkpoints, no_threads, forks, monkeypatch):
+        # three CPUs, so that threads = 0, 2 and 3 fork 3, 2 and 3 workers on any host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        serial = count_many(ks, 2999, checkpoints, witness_cap=witness_cap, seq=seq, threads=1)
+        assert forks == []
+        for threads in (0, 2, 3):
+            assert count_many(ks, 2999, checkpoints, witness_cap=witness_cap, seq=seq, threads=threads) == serial
+        assert len(forks) == 3 + 2 + 3
+
+    def test_count_forks_at_most_one_worker_per_cpu(self, no_threads, forks):
+        serial = count_many(None, 3000, threads=1)
+        assert count_many(None, 3000, threads=10**5) == serial
+        assert len(forks) <= len(os.sched_getaffinity(0))
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        span = oracle.FORK_MIN_SPAN
+        assert [oracle._workers(t, 10 * span) for t in (0, 1, 2, 3, 4, 10**5)] == [4, 1, 2, 3, 4, 4]
+        assert [oracle._workers(0, n) for n in (1, 2 * span - 1, 2 * span, 3 * span)] == [1, 1, 2, 3]
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+        assert oracle._workers(0, 10 * span) == 1
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        monkeypatch.delattr(os, "fork")
+        assert oracle._workers(0, 10 * span) == 1
+
+    def test_worker_failure_raises_and_reaps(self, no_threads, forks, monkeypatch):
+        parent = os.getpid()
+        real_block = oracle._gcd_block
+
+        def failing_block(seq, lo, hi, *rest):
+            if os.getpid() != parent and lo > 1:
+                raise RuntimeError("worker fails on purpose")
+            return real_block(seq, lo, hi, *rest)
+
+        monkeypatch.setattr(oracle, "_gcd_block", failing_block)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ChildProcessError):
+            count_many(None, 3000, threads=2)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_kills_and_reaps_workers(self, no_threads, forks, monkeypatch):
+        parent = os.getpid()
+        real_block = oracle._gcd_block
+
+        def slow_block(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return real_block(*args)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(oracle, "_gcd_block", slow_block)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            t0 = time.perf_counter()
+            with pytest.raises(KeyboardInterrupt):
+                count_many(None, 3000, threads=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == 2 and time.perf_counter() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_cli_workers_write_stdout_once(self, no_threads, forks, monkeypatch, tmp_path):
+        """Workers leave without flushing the stdout buffer they inherit."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        argv = ["count", "1", "--limit", "5000", "--checkpoints", "1000", "5000", "--witnesses", "2", "--json"]
+        outputs = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"stdout-{threads}"
+            with open(path, "w") as stdout:  # block-buffered, so a flush at a worker's exit would repeat "pending"
+                monkeypatch.setattr(sys, "stdout", stdout)
+                stdout.write("pending\n")
+                assert main([*argv, "--threads", threads]) == 0
+            outputs.append(path.read_bytes())
+        assert len(forks) == 2
+        assert outputs[0] == outputs[1] and outputs[0].count(b"pending") == 1
 
     def test_series_ignores_threads(self, no_threads):
         assert density_series(2, 2000, threads=10**5) == density_series(2, 2000, threads=1)
 
     def test_scan_b_ignores_threads(self, no_threads):
         assert scan_B(300, [100, 200, 300], threads=10**5) == scan_B(300, [100, 200, 300], threads=1)
-
-    def test_count_ignores_zero_threads(self, no_threads):
-        assert count_many(None, 3000, threads=0) == count_many(None, 3000, threads=1)
-
-    def test_cli_ignores_threads(self, no_threads, capsys):
-        assert main(["count", "1", "--limit", "5000", "--threads", "100000"]) == 0
 
     @pytest.mark.parametrize(
         "call",
