@@ -13,9 +13,10 @@ name, except count --witnesses.  The call returns a result dict that keeps
 exact values typed; JSON, CSV and text are all rendered from it by _emit.
 
 --threads takes FIBRANK_THREADS as its default and validates it the same
-way, so an invalid value of either exits 2 on every subcommand.  It is the
-number of worker processes of count (0: one per CPU); every other
-subcommand runs serially whatever its value.
+way, so an invalid value of either exits 2 on every subcommand; otherwise
+both are ignored.  count scans in one worker process per CPU of its
+affinity mask (limit the CPUs with taskset), and every other subcommand
+runs serially.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (rank undefined,
 non-member where a member is required), 4 overflow / out of range,
@@ -352,15 +353,12 @@ _COMMANDS = {
 }
 
 
-# count forks worker processes; every other subcommand is one serial pass
+# validated only: count forks one worker process per CPU of its affinity
+# mask whatever the value, and each process runs in one thread
 _THREADS_HELP = "validated (>= 0), otherwise ignored: every job runs in one thread (default: FIBRANK_THREADS or 1)"
-_COUNT_THREADS_HELP = (
-    "worker processes for the scan, at most one per CPU (0: one per CPU); "
-    "other subcommands run serially (default: FIBRANK_THREADS or 1)"
-)
 
 
-def _common_parser(threads_help: str) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--a1", type=int, default=1, help="Lucas coefficient a1 (default 1)")
     common.add_argument("--a2", type=int, default=1, help="Lucas coefficient a2 (default 1)")
@@ -373,19 +371,14 @@ def _common_parser(threads_help: str) -> argparse.ArgumentParser:
         "--threads",
         type=_nonnegative,
         default=os.environ.get("FIBRANK_THREADS") or "1",
-        help=threads_help,
+        help=_THREADS_HELP,
     )
     common.add_argument("--seed", type=int, default=None, help="accepted and ignored; no randomness affects results")
-    return common
 
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser(_THREADS_HELP)
     parser = argparse.ArgumentParser(prog="fibrank", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        parent = _common_parser(_COUNT_THREADS_HELP) if name == "count" else common
-        p = sub.add_parser(name, parents=[parent], help=command.help)
+        p = sub.add_parser(name, parents=[common], help=command.help)
         for arg, options in command.args:
             p.add_argument(arg, **options)
     return parser

@@ -9,10 +9,10 @@ criterion, scan_low_rank_primes compares z(p) with p^gamma and
 partial_ell_sum sums 1/ell(n).
 
 count_many (and count_Ak through it) splits n = 1..x into contiguous spans
-and runs them in up to `threads` forked worker processes (0: one per CPU),
+and runs them in one forked worker process per CPU of the affinity mask,
 merging the tallies in span order, so every report is the one the serial
-pass gives.  Every other scan is one serial pass; their threads arguments
-are validated and otherwise ignored.
+pass gives.  Every other scan is one serial pass.  The threads arguments
+are validated and otherwise ignored everywhere.
 """
 
 import marshal
@@ -85,13 +85,14 @@ def _nonmultiples(gens, x: int) -> bytearray:
     return allowed
 
 
-def _gcd_block(seq: LucasParams, lo: int, hi: int, wanted, witness_cap: int, counts: dict, wits: dict):
-    """Add the tallies of gcd(n, u_n) for lo <= n <= hi into counts and wits.
+def _gcd_block(seq: LucasParams, lo: int, hi: int, wanted, witness_cap: int) -> tuple[dict, dict]:
+    """(counts, wits): the tallies of gcd(n, u_n) for lo <= n <= hi.
 
     wanted is a container of the k values to track, or None for all of them;
     wits keeps the first witness_cap n of each k.
     """
     gcd_n = _gcd_n(seq)
+    counts, wits = {}, {}
     for n in range(lo, hi + 1):
         g = gcd_n(n)
         if wanted is not None and g not in wanted:
@@ -103,26 +104,17 @@ def _gcd_block(seq: LucasParams, lo: int, hi: int, wanted, witness_cap: int, cou
                 wits[g] = [n]
             elif len(lst) < witness_cap:
                 lst.append(n)
+    return counts, wits
 
 
-def _tally_spans(seq: LucasParams, wanted, witness_cap: int, spans) -> list:
-    """[(counts, wits)] of _gcd_block over each span (lo, hi] of n."""
-    tallies = []
-    for lo, hi in spans:
-        counts, wits = {}, {}
-        _gcd_block(seq, lo + 1, hi, wanted, witness_cap, counts, wits)
-        tallies.append((counts, wits))
-    return tallies
-
-
-def _workers(threads: int, n: int) -> int:
-    """How many processes should scan n values: threads (0: one per CPU),
-    at most one per CPU and one per FORK_MIN_SPAN values, and 1 where
-    forking is unsafe or unavailable."""
-    if threads == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+def _workers(n: int) -> int:
+    """How many processes should scan n values: one per CPU of the affinity
+    mask, at most one per FORK_MIN_SPAN values, and 1 where forking is
+    unsafe or unavailable."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(threads or cpus, cpus, n // FORK_MIN_SPAN))
+    return max(1, min(cpus, n // FORK_MIN_SPAN))
 
 
 def _fork_map(fn, items: list) -> list:
@@ -141,7 +133,12 @@ def _fork_map(fn, items: list) -> list:
     try:
         for item in items:
             r, w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
             if pid == 0:
                 status = 1
                 try:
@@ -182,28 +179,34 @@ def count_many(
     iterable, read once.  The scan walks n = 1..x when ks is None, else
     only up to the last checkpoint, once however many k are requested.
 
-    threads is the number of worker processes (0: one per CPU), capped at
-    the CPU count and at one per FORK_MIN_SPAN values of n.  Each worker
-    scans one contiguous run of n, cut at every checkpoint, and the parent
-    adds the counts and joins the witnesses in order of n, so the reports
-    are the same for every threads value.  The scan is serial for
-    threads = 1, below that size, without os.fork, and while another
-    thread runs, since forking a threaded process is unsafe.
+    The scan runs in one worker process per CPU of the affinity mask (set
+    it with taskset to use fewer), capped at one per FORK_MIN_SPAN values
+    of n.  Each worker scans one contiguous run of n, cut at every
+    checkpoint, and the parent adds the counts and joins the witnesses in
+    order of n, so the reports are the serial pass's.  The scan is serial
+    below that size, without os.fork, and while another thread runs, since
+    forking a threaded process is unsafe.  threads is validated (>= 0) and
+    otherwise ignored.
     """
     if not 1 <= x <= SCAN_CAP:
         raise OutOfRangeError(f"scan limit {x} outside [1, {SCAN_CAP}]")
+    if witness_cap < 0:
+        raise ValueError(f"need witness_cap >= 0, got {witness_cap}")
     checkpoints = _checkpoints(checkpoints, x)
     _check_threads(threads)
     wanted = None if ks is None else dict.fromkeys(ks)  # ordered, without repeats
 
     # with ks None the keys are the gcd values up to x
     last = x if ks is None else checkpoints[-1]
-    workers = _workers(threads, last)
+    workers = _workers(last)
     cuts = [last * i // workers for i in range(1, workers + 1)]
     ends = sorted(set(cuts).union(checkpoints))
     spans = list(zip([0, *ends], ends))
     groups = [[span for span in spans if lo < span[1] <= hi] for lo, hi in zip([0, *cuts], cuts)]
-    scan = partial(_tally_spans, seq, wanted, witness_cap)
+
+    def scan(group):
+        return [_gcd_block(seq, lo + 1, hi, wanted, witness_cap) for lo, hi in group]
+
     tallies = [tally for group in (map if workers == 1 else _fork_map)(scan, groups) for tally in group]
 
     running: dict[int, int] = {}
@@ -238,7 +241,9 @@ def count_Ak(
     seq: LucasParams = FIBONACCI,
     threads: int = 1,
 ) -> list[CountReport]:
-    """Exact #A_k(checkpoint) by evaluating gcd(n, F_n) for every n <= x."""
+    """Exact #A_k(checkpoint) by evaluating gcd(n, F_n) for every n <= x,
+    through count_many: one worker process per CPU of the affinity mask,
+    with threads validated (>= 0) and otherwise ignored."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     return count_many([k], x, checkpoints, witness_cap=witness_cap, seq=seq, threads=threads)[k]

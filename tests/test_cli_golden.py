@@ -175,7 +175,7 @@ EXPECTED = {
     "rank 3 --a1 1 --a2 -1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "7b1aa956b5e1a12acf9d08251b6e04c614b2107ce50140b70a49dd46c4d594f6"),
     "rank 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6b87945da48323e8facd348c236d056672e31e0254690ee3eb344e465b42f9e3"),
     "--help": (0, "ecfc7cfb687661f960cbacaf52c895576d1e6eb8958e7ffade1d969a989c7b0b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "count --help": (0, "6689545bb195b9e853734a701dc086173b47525f4caafd1d7a8715c29e499d45", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "count --help": (0, "74d8d1181a8355830740fe6468ada73f3f7d6671c2dc966966d6f448b4d3c975", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lowrank --help": (0, "c3ec1b4ed6a18c09c8d051d5d61a2513b8fb9cdd115f9cb35097ff33fcba2745", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "witnesses --help": (0, "b5fdb8be5f736f73b4d77be74faa07b23e1175c8477706adea04b41c1e7c272d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "rank 3 --a1 1 --a2 -3": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "17621f0851608548a1b8048cdda12a0847c892c01f372f420370ba6f9f78879e"),

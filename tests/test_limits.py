@@ -3,6 +3,7 @@ an allocation fails fast above its cap, every documented rejection raises
 its exception with its message, no thread count ever starts a thread, and
 count_many's worker processes give the serial result and never outlive it."""
 
+import errno
 import os
 import signal
 import sys
@@ -124,6 +125,7 @@ REJECTIONS = {
     "lk_generators-p_bound": (lambda: lk_generators(1, 1), ValueError, "need p_bound >= 2, got 1"),
     "count_Ak-checkpoint-above-x": (lambda: count_Ak(1, 10, [11]), ValueError, "checkpoints must lie in [1, x]"),
     "count_Ak-checkpoint-zero": (lambda: count_Ak(1, 10, [0]), ValueError, "checkpoints must lie in [1, x]"),
+    "count_Ak-witness_cap": (lambda: count_Ak(1, 50, witness_cap=-1), ValueError, "need witness_cap >= 0, got -1"),
     "scan_low_rank_primes-x": (lambda: scan_low_rank_primes(Fraction(1, 2), 0), ValueError, "need x >= 1, got 0"),
     "partial_ell_sum-N": (lambda: partial_ell_sum(0), ValueError, "need N >= 1, got 0"),
     "nonmultiple_density-x": (lambda: nonmultiple_density(lk_generators(1, 5), 0), ValueError, "need x >= 1, got 0"),
@@ -181,11 +183,16 @@ def test_rejection(call, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
+def _cpus(monkeypatch, n):
+    """Fake an affinity mask of n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 class TestWorkers:
-    """threads is validated (negative is a ValueError).  count_many forks up
-    to threads worker processes, one per CPU at most, and reports the same
-    for every worker count; every other scan ignores threads.  No thread is
-    ever started, and no worker process outlives the call."""
+    """threads is validated (negative is a ValueError) and otherwise ignored.
+    count_many forks one worker process per CPU of the affinity mask and
+    reports the same for every worker count; every other scan is serial.
+    No thread is ever started, and no worker process outlives the call."""
 
     @pytest.fixture
     def no_threads(self, monkeypatch):
@@ -213,32 +220,45 @@ class TestWorkers:
     @pytest.mark.parametrize("seq", [FIBONACCI, LucasParams(1, 3)], ids=["fibonacci", "lucas-1-3"])
     @pytest.mark.parametrize("ks", [None, [1, 2, 5, 12, 4, 25]], ids=["all-k", "k-list"])
     @pytest.mark.parametrize("witness_cap", [0, 3])
-    # with ks None, 999 and 1499 are worker cuts on three and two workers
+    # with ks None, 999 and 1499 are worker cuts on three and two CPUs
     @pytest.mark.parametrize("checkpoints", [None, [700, 999, 1499, 2200]], ids=["at-x", "inside-spans"])
     def test_count_same_for_every_worker_count(self, seq, ks, witness_cap, checkpoints, no_threads, forks, monkeypatch):
-        # three CPUs, so that threads = 0, 2 and 3 fork 3, 2 and 3 workers on any host
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        serial = count_many(ks, 2999, checkpoints, witness_cap=witness_cap, seq=seq, threads=1)
+        _cpus(monkeypatch, 1)
+        serial = count_many(ks, 2999, checkpoints, witness_cap=witness_cap, seq=seq)
         assert forks == []
-        for threads in (0, 2, 3):
-            assert count_many(ks, 2999, checkpoints, witness_cap=witness_cap, seq=seq, threads=threads) == serial
-        assert len(forks) == 3 + 2 + 3
+        for cpus in (2, 3):
+            _cpus(monkeypatch, cpus)
+            assert count_many(ks, 2999, checkpoints, witness_cap=witness_cap, seq=seq) == serial
+        assert len(forks) == 2 + 3
 
-    def test_count_forks_at_most_one_worker_per_cpu(self, no_threads, forks):
-        serial = count_many(None, 3000, threads=1)
-        assert count_many(None, 3000, threads=10**5) == serial
-        assert len(forks) <= len(os.sched_getaffinity(0))
+    def test_count_forks_at_most_one_worker_per_cpu(self, no_threads, forks, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        reports = count_many(None, 3000)
+        assert len(forks) <= cpus
+        _cpus(monkeypatch, 1)
+        assert count_many(None, 3000) == reports
+
+    def test_threads_select_no_worker_count(self, no_threads, forks, monkeypatch):
+        _cpus(monkeypatch, 2)
+        workers = []
+        for threads in (0, 1, 2, 10**5):
+            forks.clear()
+            count_many(None, 3000, threads=threads)
+            workers.append(len(forks))
+        assert workers == [2, 2, 2, 2]
 
     def test_worker_count(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         span = oracle.FORK_MIN_SPAN
-        assert [oracle._workers(t, 10 * span) for t in (0, 1, 2, 3, 4, 10**5)] == [4, 1, 2, 3, 4, 4]
-        assert [oracle._workers(0, n) for n in (1, 2 * span - 1, 2 * span, 3 * span)] == [1, 1, 2, 3]
+        _cpus(monkeypatch, 4)
+        assert [oracle._workers(n) for n in (1, 2 * span - 1, 2 * span, 3 * span, 10 * span)] == [1, 1, 2, 3, 4]
+        _cpus(monkeypatch, 1)
+        assert oracle._workers(10 * span) == 1
+        _cpus(monkeypatch, 4)
         monkeypatch.setattr(threading, "active_count", lambda: 2)
-        assert oracle._workers(0, 10 * span) == 1
+        assert oracle._workers(10 * span) == 1
         monkeypatch.setattr(threading, "active_count", lambda: 1)
         monkeypatch.delattr(os, "fork")
-        assert oracle._workers(0, 10 * span) == 1
+        assert oracle._workers(10 * span) == 1
 
     def test_worker_failure_raises_and_reaps(self, no_threads, forks, monkeypatch):
         parent = os.getpid()
@@ -250,10 +270,31 @@ class TestWorkers:
             return real_block(seq, lo, hi, *rest)
 
         monkeypatch.setattr(oracle, "_gcd_block", failing_block)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        _cpus(monkeypatch, 2)
         with pytest.raises(ChildProcessError):
-            count_many(None, 3000, threads=2)
+            count_many(None, 3000)
         assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count open fds")
+    def test_failed_fork_closes_its_pipe_and_reaps(self, no_threads, monkeypatch):
+        monkeypatch.setattr(oracle, "FORK_MIN_SPAN", 100)
+        real_fork = os.fork
+        calls = []
+
+        def second_fork_fails():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, "fork fails on purpose")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        _cpus(monkeypatch, 2)
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="fork fails on purpose"):
+            count_many(None, 3000)
+        assert len(calls) == 2 and len(os.listdir("/proc/self/fd")) == fds
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -270,13 +311,13 @@ class TestWorkers:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(oracle, "_gcd_block", slow_block)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        _cpus(monkeypatch, 2)
         previous = signal.signal(signal.SIGALRM, interrupt)
         try:
             signal.setitimer(signal.ITIMER_REAL, 0.5)
             t0 = time.perf_counter()
             with pytest.raises(KeyboardInterrupt):
-                count_many(None, 3000, threads=2)
+                count_many(None, 3000)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
@@ -286,15 +327,15 @@ class TestWorkers:
 
     def test_cli_workers_write_stdout_once(self, no_threads, forks, monkeypatch, tmp_path):
         """Workers leave without flushing the stdout buffer they inherit."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         argv = ["count", "1", "--limit", "5000", "--checkpoints", "1000", "5000", "--witnesses", "2", "--json"]
         outputs = []
-        for threads in ("1", "2"):
-            path = tmp_path / f"stdout-{threads}"
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            path = tmp_path / f"stdout-{cpus}"
             with open(path, "w") as stdout:  # block-buffered, so a flush at a worker's exit would repeat "pending"
                 monkeypatch.setattr(sys, "stdout", stdout)
                 stdout.write("pending\n")
-                assert main([*argv, "--threads", threads]) == 0
+                assert main(argv) == 0
             outputs.append(path.read_bytes())
         assert len(forks) == 2
         assert outputs[0] == outputs[1] and outputs[0].count(b"pending") == 1
