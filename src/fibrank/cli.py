@@ -14,9 +14,9 @@ exact values typed; JSON, CSV and text are all rendered from it by _emit.
 
 --threads takes FIBRANK_THREADS as its default and validates it the same
 way, so an invalid value of either exits 2 on every subcommand; otherwise
-both are ignored.  count scans in one worker process per CPU of its
-affinity mask (limit the CPUs with taskset), and every other subcommand
-runs serially.
+both are ignored.  count scans in the calling process plus one forked
+worker per other CPU of its affinity mask (limit the CPUs with taskset),
+and every other subcommand runs serially.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (rank undefined,
 non-member where a member is required), 4 overflow / out of range,
@@ -82,9 +82,12 @@ def _gamma(text):
 
 
 # str(int) is quadratic in the digit count before CPython 3.12 (a 5.8M-bit
-# series tail takes minutes), so every int is converted by binary halves in
-# libmpdec arithmetic; a half of at most this many bits is one Decimal.
-# str(int) is never called, so CPython's int-to-str digit guard never applies.
+# series tail takes minutes), so the numerator and denominator of every
+# Fraction are converted by binary halves in libmpdec arithmetic; a half of
+# at most this many bits is one Decimal.  Plain ints (echoed arguments,
+# ranks, counts) go through json.dumps, f-strings and str() instead; an
+# oversized one, such as an echoed --a1 of 5,000 digits, renders only
+# because main lifts CPython's int-to-str digit guard.
 _STR_BITS = 1 << 13
 
 
@@ -353,8 +356,9 @@ _COMMANDS = {
 }
 
 
-# validated only: count forks one worker process per CPU of its affinity
-# mask whatever the value, and each process runs in one thread
+# validated only: count scans in the calling process plus one forked worker
+# per other CPU of its affinity mask whatever the value, and each process
+# runs in one thread
 _THREADS_HELP = "validated (>= 0), otherwise ignored: every job runs in one thread (default: FIBRANK_THREADS or 1)"
 
 

@@ -181,8 +181,9 @@ def _exact_sum(items) -> Fraction:
 
 def _check_threads(threads: int):
     """threads is validated (>= 0) and otherwise ignored: every series sum
-    runs in the calling thread, and count_many forks one worker process per
-    CPU of the affinity mask, whatever threads says."""
+    runs in the calling thread, and count_many scans in the calling process
+    plus one forked worker per other CPU of the affinity mask, whatever
+    threads says."""
     if threads < 0:
         raise ValueError(f"need threads >= 0, got {threads}")
 

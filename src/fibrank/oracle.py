@@ -8,11 +8,12 @@ verify_structure builds L_k from ell(kp), scan_B applies the membership
 criterion, scan_low_rank_primes compares z(p) with p^gamma and
 partial_ell_sum sums 1/ell(n).
 
-count_many (and count_Ak through it) splits n = 1..x into contiguous spans
-and runs them in one forked worker process per CPU of the affinity mask,
-merging the tallies in span order, so every report is the one the serial
-pass gives.  Every other scan is one serial pass.  The threads arguments
-are validated and otherwise ignored everywhere.
+count_many (and count_Ak through it) splits n = 1..x into contiguous runs,
+one per CPU of the affinity mask, and scans them in the calling process
+plus one forked worker per other CPU, merging the tallies in order of n,
+so every report is the one the serial pass gives.  Every other scan is one
+serial pass.  The threads arguments are validated and otherwise ignored
+everywhere.
 """
 
 import marshal
@@ -31,9 +32,11 @@ from .fib import FIBONACCI, LucasParams, gcd_n_fib, gcd_n_lucas
 from .rank import RankCache, _cache_for
 
 SCAN_CAP = 10**8
-# n per worker below which count_many stays serial.  On a 2-CPU host two
-# workers of 10,000 n each took 0.038 s against 0.034 s for the serial pass,
-# and two of 20,000 n each 0.11 s against 0.15 s.
+# n per process below which count_many stays serial.  On a 2-CPU Xeon host
+# shared with other jobs (medians of 21 alternating pairs), the caller and
+# one worker of 10,000 n each took 0.031 s against 0.060 s serial while the
+# second CPU was idle, but 0.054 s against 0.050 s while it was busy; of
+# 20,000 n each they took 0.114 s and 0.137 s against 0.174 s and 0.181 s.
 FORK_MIN_SPAN = 20_000
 B_SCAN_CAP = 10**5
 STRUCTURE_CAP = 10**7
@@ -117,21 +120,21 @@ def _workers(n: int) -> int:
     return max(1, min(cpus, n // FORK_MIN_SPAN))
 
 
-def _fork_map(fn, items: list) -> list:
-    """[fn(item) for item in items], each call in its own forked child.
+def _fork_map(fn, items) -> list:
+    """[fn(item) for item in items]: fn(items[0]) runs in the calling process,
+    and each other call in its own forked child, started before it.
 
     A child sends its result back marshalled through a pipe and leaves by
     os._exit on every path, so it flushes no inherited stdio buffer and runs
     no atexit handler.  Every child is reaped before this returns; if the
-    parent fails or is interrupted, the children still running are killed
-    first.  A child that exits nonzero raises ChildProcessError.
+    caller fails or is interrupted, the children still running are killed
+    first.  A child that exits nonzero, or is killed, raises
+    ChildProcessError.  With one item nothing is forked.
     """
-    import signal  # only forking callers pay for importing it
-
     children = []  # (pid, read end of its pipe)
     outputs = None
     try:
-        for item in items:
+        for item in items[1:]:
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -151,17 +154,20 @@ def _fork_map(fn, items: list) -> list:
                     os._exit(status)
             os.close(w)
             children.append((pid, open(r, "rb")))
+        first = fn(items[0])
         outputs = [pipe.read() for _, pipe in children]
     finally:
         statuses = []
         for pid, pipe in children:
             pipe.close()
             if outputs is None:
+                import signal  # only a failed or interrupted call pays for importing it
+
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     if any(statuses):
         raise ChildProcessError(f"worker processes exited with status {statuses}")
-    return [marshal.loads(out) for out in outputs]
+    return [first, *map(marshal.loads, outputs)]
 
 
 def count_many(
@@ -179,14 +185,15 @@ def count_many(
     iterable, read once.  The scan walks n = 1..x when ks is None, else
     only up to the last checkpoint, once however many k are requested.
 
-    The scan runs in one worker process per CPU of the affinity mask (set
-    it with taskset to use fewer), capped at one per FORK_MIN_SPAN values
-    of n.  Each worker scans one contiguous run of n, cut at every
-    checkpoint, and the parent adds the counts and joins the witnesses in
-    order of n, so the reports are the serial pass's.  The scan is serial
-    below that size, without os.fork, and while another thread runs, since
-    forking a threaded process is unsafe.  threads is validated (>= 0) and
-    otherwise ignored.
+    The scan runs in the calling process plus one forked worker process per
+    other CPU of the affinity mask (set it with taskset to use fewer),
+    capped at one process per FORK_MIN_SPAN values of n.  Each process
+    scans one contiguous run of n, cut at every checkpoint inside it, and
+    the caller adds the counts and joins the witnesses in order of n, so
+    the reports are the serial pass's.  The scan is serial, and forks
+    nothing, below that size, without os.fork, and while another thread
+    runs, since forking a threaded process is unsafe.  threads is validated
+    (>= 0) and otherwise ignored.
     """
     if not 1 <= x <= SCAN_CAP:
         raise OutOfRangeError(f"scan limit {x} outside [1, {SCAN_CAP}]")
@@ -199,20 +206,18 @@ def count_many(
     # with ks None the keys are the gcd values up to x
     last = x if ks is None else checkpoints[-1]
     workers = _workers(last)
-    cuts = [last * i // workers for i in range(1, workers + 1)]
-    ends = sorted(set(cuts).union(checkpoints))
-    spans = list(zip([0, *ends], ends))
-    groups = [[span for span in spans if lo < span[1] <= hi] for lo, hi in zip([0, *cuts], cuts)]
+    cuts = [last * i // workers for i in range(workers + 1)]
 
-    def scan(group):
-        return [_gcd_block(seq, lo + 1, hi, wanted, witness_cap) for lo, hi in group]
-
-    tallies = [tally for group in (map if workers == 1 else _fork_map)(scan, groups) for tally in group]
+    def scan(i):
+        """(hi, counts, wits) for each span (lo, hi] of run i, cut at the
+        checkpoints inside it."""
+        his = [cp for cp in checkpoints if cuts[i] < cp < cuts[i + 1]] + [cuts[i + 1]]
+        return [(hi, *_gcd_block(seq, lo + 1, hi, wanted, witness_cap)) for lo, hi in zip([cuts[i], *his], his)]
 
     running: dict[int, int] = {}
     first_wits: dict[int, list[int]] = {}
     at_end: dict[int, dict[int, int]] = {}
-    for (_, hi), (counts, wits) in zip(spans, tallies):
+    for hi, counts, wits in (span for run in _fork_map(scan, range(workers)) for span in run):
         for g, c in counts.items():
             running[g] = running.get(g, 0) + c
         for g, ns in wits.items():
@@ -242,8 +247,9 @@ def count_Ak(
     threads: int = 1,
 ) -> list[CountReport]:
     """Exact #A_k(checkpoint) by evaluating gcd(n, F_n) for every n <= x,
-    through count_many: one worker process per CPU of the affinity mask,
-    with threads validated (>= 0) and otherwise ignored."""
+    through count_many: the calling process plus one forked worker per
+    other CPU of the affinity mask, with threads validated (>= 0) and
+    otherwise ignored."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     return count_many([k], x, checkpoints, witness_cap=witness_cap, seq=seq, threads=threads)[k]

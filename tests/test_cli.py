@@ -3,7 +3,10 @@ thread-count independence of the emitted bytes."""
 
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
@@ -273,6 +276,15 @@ class TestDigitGuard:
         code, _, err = run(capsys, "rank", "9" * 5000)
         assert code == 4 and "9" * 5000 in err
 
+    def test_oversized_int_is_rendered_whole(self, capsys, guard):
+        """A plain int reaches stdout through json.dumps, whose str(int) works
+        past the guard only because main lifts it."""
+        a1 = "1" + "0" * 4999 + "1"  # 10**5000 + 1, past either guard
+        code, out, err = run(capsys, "rank", "5", "--a1", a1, "--a2", "1", "--json")
+        assert code == 0, err
+        assert f'"params":{{"a1":{a1},"a2":1,"m":5}}' in out
+        assert sys.get_int_max_str_digits() == guard
+
     def test_restored_when_an_exception_escapes(self, guard, monkeypatch):
         def fail(args):
             raise RuntimeError("escapes main")
@@ -281,6 +293,25 @@ class TestDigitGuard:
         with pytest.raises(RuntimeError, match="escapes main"):
             main(["rank", "10"])
         assert sys.get_int_max_str_digits() == guard
+
+
+class TestEntry:
+    """cli.entry, the console-script hook, exits with main's code and
+    writes main's bytes."""
+
+    @staticmethod
+    def entry(*argv):
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        code = "from fibrank.cli import entry; entry()"
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=60)
+
+    def test_exit_code_and_bytes(self, capsys):
+        proc = self.entry("rank", "10", "--json")
+        code, out, _ = run(capsys, "rank", "10", "--json")
+        assert proc.returncode == code == 0
+        assert proc.stdout == out.encode()
+        assert self.entry("rank", "0").returncode == 2
 
 
 class TestDeterminism:

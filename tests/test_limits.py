@@ -190,8 +190,9 @@ def _cpus(monkeypatch, n):
 
 class TestWorkers:
     """threads is validated (negative is a ValueError) and otherwise ignored.
-    count_many forks one worker process per CPU of the affinity mask and
-    reports the same for every worker count; every other scan is serial.
+    count_many scans in the calling process plus one forked worker per other
+    CPU of the affinity mask and reports the same for every worker count;
+    every other scan is serial.
     No thread is ever started, and no worker process outlives the call."""
 
     @pytest.fixture
@@ -203,7 +204,8 @@ class TestWorkers:
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """Small scans fork, and the pids of the forked workers are listed."""
+        """Small scans fork, and the pids of the forked workers are listed;
+        a scan on W CPUs forks W - 1 of them."""
         monkeypatch.setattr(oracle, "FORK_MIN_SPAN", 100)
         pids = []
         real_fork = os.fork
@@ -229,12 +231,12 @@ class TestWorkers:
         for cpus in (2, 3):
             _cpus(monkeypatch, cpus)
             assert count_many(ks, 2999, checkpoints, witness_cap=witness_cap, seq=seq) == serial
-        assert len(forks) == 2 + 3
+        assert len(forks) == 1 + 2
 
     def test_count_forks_at_most_one_worker_per_cpu(self, no_threads, forks, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
         reports = count_many(None, 3000)
-        assert len(forks) <= cpus
+        assert len(forks) <= cpus - 1
         _cpus(monkeypatch, 1)
         assert count_many(None, 3000) == reports
 
@@ -245,7 +247,7 @@ class TestWorkers:
             forks.clear()
             count_many(None, 3000, threads=threads)
             workers.append(len(forks))
-        assert workers == [2, 2, 2, 2]
+        assert workers == [1, 1, 1, 1]
 
     def test_worker_count(self, monkeypatch):
         span = oracle.FORK_MIN_SPAN
@@ -273,7 +275,26 @@ class TestWorkers:
         _cpus(monkeypatch, 2)
         with pytest.raises(ChildProcessError):
             count_many(None, 3000)
-        assert len(forks) == 2
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_worker_raises_and_reaps(self, no_threads, forks, monkeypatch):
+        """A worker killed by a signal, as by the OOM killer, has a negative
+        exit code and fails the scan like a worker that exits nonzero."""
+        parent = os.getpid()
+        real_block = oracle._gcd_block
+
+        def killed_block(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_block(*args)
+
+        monkeypatch.setattr(oracle, "_gcd_block", killed_block)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match=rf"\[{-signal.SIGKILL}\]"):
+            count_many(None, 3000)
+        assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -290,7 +311,7 @@ class TestWorkers:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", second_fork_fails)
-        _cpus(monkeypatch, 2)
+        _cpus(monkeypatch, 3)  # the caller scans one run and forks for the other two
         fds = len(os.listdir("/proc/self/fd"))
         with pytest.raises(OSError, match="fork fails on purpose"):
             count_many(None, 3000)
@@ -321,7 +342,7 @@ class TestWorkers:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
-        assert len(forks) == 2 and time.perf_counter() - t0 < 30
+        assert len(forks) == 1 and time.perf_counter() - t0 < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -337,7 +358,7 @@ class TestWorkers:
                 stdout.write("pending\n")
                 assert main(argv) == 0
             outputs.append(path.read_bytes())
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert outputs[0] == outputs[1] and outputs[0].count(b"pending") == 1
 
     def test_series_ignores_threads(self, no_threads):

@@ -3,6 +3,8 @@ exact Fibonacci values (n <= 30) or by an independent dev-time enumeration;
 the structural identities are cross-checked in-place."""
 
 import math
+import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,14 +16,19 @@ from fibrank import (
     LucasParams,
     NonMemberError,
     OutOfRangeError,
+    RankCache,
     count_Ak,
     count_many,
+    density,
+    density_series,
     ell_of,
     gcd_n_fib,
     heilbronn_lower_bound,
     is_member,
+    iter_Ak,
     lk_generators,
     nonmultiple_density,
+    oracle,
     partial_ell_sum,
     rank,
     scan_B,
@@ -401,3 +408,54 @@ class TestIterableArguments:
         assert scan_B(50, iter([])) == scan_B(50, []) == scan_B(50)
         assert scan_low_rank_primes(gamma, 300, iter([30, 300])) == scan_low_rank_primes(gamma, 300, [30, 300])
         assert scan_low_rank_primes(gamma, 50, iter([])) == scan_low_rank_primes(gamma, 50)
+
+
+class TestFormulaFree:
+    """The enumeration oracles ground the rank and density formulas, so they
+    must not use them: with the rank engines, ell(dk), the exact summer,
+    factoring and the Mobius sieve all made to raise, count_many, count_Ak
+    and iter_Ak return what they return unpatched, serially and forked."""
+
+    FORMULAS = [
+        ("fibrank.rank", "_rank_with"),
+        ("fibrank.rank", "_prime_rank_fib"),
+        ("fibrank.rank", "_prime_rank_lucas"),
+        ("fibrank.rank", "_prime_power_rank"),
+        ("fibrank.density", "_exact_sum"),
+        ("fibrank.arith", "factor"),
+        ("fibrank.arith", "mobius_spf_sieve"),
+    ]
+
+    @staticmethod
+    def enumerate_all():
+        pell = LucasParams(2, 1)
+        return [
+            count_many(None, 50000, [1000, 50000], witness_cap=2),
+            count_many([1, 3], 5000, seq=pell),
+            count_Ak(2, 5000, [1000, 5000], witness_cap=3),
+            count_Ak(1, 5000, seq=pell),
+            list(iter_Ak(2, 5000)),
+            list(iter_Ak(1, 5000, seq=pell)),
+        ]
+
+    def test_oracles_use_no_formula(self, monkeypatch):
+        expected = self.enumerate_all()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an enumeration oracle used a formula")
+
+        modules = [m for name, m in sys.modules.items() if name == "fibrank" or name.startswith("fibrank.")]
+        for home, name in self.FORMULAS:
+            real = getattr(sys.modules[home], name)
+            for module in modules:  # every binding, including names imported from home
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(density._EllOfDK, "__call__", refuse)
+        with pytest.raises(AssertionError, match="used a formula"):
+            density_series(2, 100, RankCache())
+
+        for cpus, span in ((1, oracle.FORK_MIN_SPAN), (3, 1000)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            monkeypatch.setattr(oracle, "FORK_MIN_SPAN", span)
+            assert oracle._workers(5000) == cpus
+            assert self.enumerate_all() == expected
