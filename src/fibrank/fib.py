@@ -8,14 +8,26 @@ Index-halving identities for u_0 = 0, u_1 = 1, u_n = a1 u_{n-1} + a2 u_{n-2}
     u_{2t+1} = u_{t+1}^2 + a2 u_t^2
 
 Fibonacci is the (a1, a2) = (1, 1) case.
+
+Both modular ladders start from a table of exact head terms u_0 .. u_{2^K}
+of their sequence, built on first use by _head.  For an index n of b > K
+bits, the top K bits t = n >> (b - K) give u_t and u_{t+1} by one reduction
+of each table entry mod m, and doubling runs only over the remaining b - K
+bits; an index below 2^K comes from the table alone.  K is at most
+HEAD_BITS and as large as keeps every table term below 2^1024, so it is 10
+for Fibonacci, 9 for Pell and 0, the plain ladder from (u_0, u_1), once
+|a1| >= 2^1024.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .arith import U64_MAX, OutOfRangeError, _check_u64, is_prime
 
 FIB_EXACT_CAP = 10_000
+# the ladders read at most this many top bits of an index from _head's table
+HEAD_BITS = 10
 
 # Coprime integer pairs whose root ratio is a root of unity; together with
 # a1*a2 = 0 and discriminant 0 these are exactly the degenerate Lucas cases.
@@ -60,13 +72,30 @@ def fib_exact(n: int, cap: int = FIB_EXACT_CAP) -> int:
     return a
 
 
+@lru_cache(maxsize=16)
+def _head(a1: int, a2: int) -> tuple[int, tuple[int, ...]]:
+    """(K, (u_0, .., u_{2^K})) for the largest K <= HEAD_BITS that keeps
+    every one of these exact terms below 2^1024 in absolute value."""
+    terms = [0, 1]
+    while len(terms) <= 1 << HEAD_BITS:
+        u = a1 * terms[-1] + a2 * terms[-2]
+        if abs(u) >> 1024:
+            break
+        terms.append(u)
+    k = (len(terms) - 1).bit_length() - 1
+    return k, tuple(terms[: (1 << k) + 1])
+
+
 def fib_pair_mod(n: int, m: int) -> tuple[int, int]:
     """(F_n mod m, F_{n+1} mod m) in O(log n) doubling steps."""
     _check_u64(m, "modulus")
     if n < 0:
         raise ValueError(f"Fibonacci index must be >= 0, got {n}")
-    a, b = 0, 1 % m
-    for i in range(n.bit_length() - 1, -1, -1):
+    k, terms = _head(1, 1)
+    shift = max(n.bit_length() - k, 0)
+    t = n >> shift
+    a, b = terms[t] % m, terms[t + 1] % m
+    for i in range(shift - 1, -1, -1):
         c = a * (2 * b - a) % m
         d = (a * a + b * b) % m
         if (n >> i) & 1:
@@ -84,9 +113,12 @@ def lucas_pair_mod(seq: LucasParams, n: int, m: int) -> tuple[int, int]:
     _check_u64(m, "modulus")
     if n < 0:
         raise ValueError(f"Lucas index must be >= 0, got {n}")
+    k, terms = _head(seq.a1, seq.a2)
+    shift = max(n.bit_length() - k, 0)
+    t = n >> shift
+    a, b = terms[t] % m, terms[t + 1] % m
     a1, a2 = seq.a1 % m, seq.a2 % m
-    a, b = 0, 1 % m
-    for i in range(n.bit_length() - 1, -1, -1):
+    for i in range(shift - 1, -1, -1):
         c = a * (2 * b - a1 * a) % m
         d = (b * b + a2 * a * a) % m
         if (n >> i) & 1:

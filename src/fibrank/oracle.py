@@ -33,14 +33,17 @@ from .rank import RankCache, _cache_for
 
 SCAN_CAP = 10**8
 # n per process below which count_many stays serial.  On a 2-CPU Xeon host
-# shared with other jobs (medians of 21 alternating pairs), the caller and
-# one worker of 10,000 n each took 0.031 s against 0.060 s serial while the
-# second CPU was idle, but 0.054 s against 0.050 s while it was busy; of
-# 20,000 n each they took 0.114 s and 0.137 s against 0.174 s and 0.181 s.
+# shared with other jobs (CPython 3.11, medians of 21 alternating pairs,
+# ladders started from the head table of fib.py), the caller and one worker
+# of 10,000 n each took 0.062 s against 0.059 s serial while the second CPU
+# was idle, and 0.069 s against 0.067 s while it was busy; of 20,000 n each
+# they took 0.093 s against 0.146 s idle, and 0.134 to 0.145 s against
+# 0.134 to 0.149 s busy.
 FORK_MIN_SPAN = 20_000
 B_SCAN_CAP = 10**5
 STRUCTURE_CAP = 10**7
-# z(p)^Q <= p^A is exact, so its cost grows with the denominator Q of gamma
+# z(p)^Q <= p^A falls back to exact powers near a tie, and their cost grows
+# with the denominator Q of gamma
 GAMMA_DENOMINATOR_CAP = 1000
 
 
@@ -319,6 +322,16 @@ def scan_B(
     return _rows(members, checkpoints), unknown
 
 
+def _at_most_power(z: int, q: int, p: int, a: int) -> bool:
+    """z^q <= p^a for z >= 1 and p >= 2, a >= 1: by logarithms, and by the
+    exact powers only where the logarithms lie within 1e-9 relative of each
+    other, far wider than the rounding error of either side."""
+    lhs, rhs = q * math.log2(z), a * math.log2(p)
+    if abs(lhs - rhs) <= 1e-9 * rhs:
+        return z**q <= p**a
+    return lhs < rhs
+
+
 def scan_low_rank_primes(
     gamma: Fraction,
     x: int,
@@ -327,8 +340,8 @@ def scan_low_rank_primes(
 ) -> list[ScanRow]:
     """Count primes p <= checkpoint with z(p) <= p^gamma.
 
-    The power comparison is exact integer arithmetic: for gamma = a/q in
-    lowest terms, z(p) <= p^gamma iff z(p)^q <= p^a (no float boundaries).
+    The power comparison is exact: for gamma = a/q in lowest terms,
+    z(p) <= p^gamma iff z(p)^q <= p^a, decided by _at_most_power.
     The reported ratio is count / x^(2 gamma), the trend the folklore
     bound controls.
     """
@@ -348,7 +361,7 @@ def scan_low_rank_primes(
     low = [
         p
         for p in arith.primes_upto(checkpoints[-1])
-        if math.gcd(p, a2) == 1 and cache._prime_rank(p) ** q <= p**a
+        if math.gcd(p, a2) == 1 and _at_most_power(cache._prime_rank(p), q, p, a)
     ]
     return _rows(low, checkpoints, 2 * float(gamma))
 

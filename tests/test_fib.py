@@ -18,6 +18,7 @@ from fibrank import (
     lucas_pair_mod,
     lucas_valuation,
 )
+from fibrank.fib import HEAD_BITS, _head
 
 
 def fib_list(n):
@@ -112,7 +113,7 @@ class TestGcdNFib:
         assert gcd_n_fib(25) == 25
 
     def test_matches_exact_gcd(self):
-        for n in range(1, 400):
+        for n in range(1, 2001):
             assert gcd_n_fib(n) == math.gcd(n, FIBS[n]), n
 
     @given(st.integers(1, 10**6))
@@ -185,7 +186,7 @@ class TestLucasPairMod:
             for n in (0, 1, 7):
                 assert lucas_pair_mod(seq, n, 1) == (0, 0), (seq, n)
 
-    @given(valid_params(), st.integers(0, 120), st.integers(1, 10**4))
+    @given(valid_params(), st.integers(0, 3000), st.integers(1, 2**64 - 1))
     def test_matches_recurrence(self, seq, n, m):
         us = lucas_list(seq.a1, seq.a2, n + 1)
         assert lucas_pair_mod(seq, n, m) == (us[n] % m, us[n + 1] % m)
@@ -233,3 +234,62 @@ class TestLucasValuation:
                 continue
             expected = min(int_val(us[n], p), 12) if us[n] else 12
             assert lucas_valuation(seq, p, n, 12) == expected
+
+
+# pairs whose head tables have K = 10 (Fibonacci, and a2 = -2 with complex
+# roots), 9 (Pell), 8 (one of them with terms of alternating sign) and 0
+# (an a1 whose first term past u_1 is above 2^1328)
+HEAD_PAIRS = [(1, 1), (1, -2), (2, 1), (9, -8), (-3, 7), (10**400 + 1, 1)]
+
+
+class TestHeadTable:
+    """Both ladders read the top K bits of n from _head and double below
+    them, so these checks cross the edge of the table on both sides."""
+
+    def test_table_sizes(self):
+        assert [_head(a1, a2)[0] for a1, a2 in HEAD_PAIRS] == [10, 10, 9, 8, 8, 0]
+
+    def test_tables_stay_bounded(self):
+        for a1, a2 in HEAD_PAIRS:
+            k, terms = _head(a1, a2)
+            assert 0 <= k <= HEAD_BITS
+            assert len(terms) == (1 << k) + 1 <= 1026
+            assert all(abs(u) < 2**1024 for u in terms)
+            assert list(terms) == lucas_list(a1, a2, 1 << k)
+        for a1 in range(1, 40):  # more pairs than the cache holds
+            _head(a1, 1)
+        info = _head.cache_info()
+        assert info.maxsize == 16 and info.currsize <= 16
+
+    def test_edges(self):
+        for a1, a2 in HEAD_PAIRS:
+            seq = LucasParams(a1, a2)
+            k = _head(a1, a2)[0]
+            edges = {0, 1, 2, (1 << k) - 1, 1 << k, (1 << k) + 1, (2 << k) - 1, 2 << k, (2 << k) + 1}
+            us = lucas_list(a1, a2, max(edges) + 1)
+            for n in sorted(edges):
+                for m in (1, 2, 3, 1000, 2**64 - 59, 2**64 - 1):
+                    assert lucas_pair_mod(seq, n, m) == (us[n] % m, us[n + 1] % m), (a1, a2, n, m)
+                    if seq.is_fibonacci:
+                        assert fib_pair_mod(n, m) == (us[n] % m, us[n + 1] % m), (n, m)
+            assert lucas_pair_mod(seq, 0, 1) == (0, 0)
+
+    def test_huge_a1_starts_from_u0(self):
+        seq = LucasParams(10**400 + 1, 1)
+        assert _head(seq.a1, seq.a2) == (0, (0, 1))
+        us = lucas_list(seq.a1, seq.a2, 65)
+        for n in range(65):
+            for m in (1, 97, 2**64 - 1):
+                assert lucas_pair_mod(seq, n, m) == (us[n] % m, us[n + 1] % m), (n, m)
+
+    def test_fib_to_3000(self):
+        us = fib_list(3001)
+        for m in (1, 7, 1000, 2**61 - 1):
+            for n in range(3001):
+                assert fib_pair_mod(n, m) == (us[n] % m, us[n + 1] % m), (n, m)
+
+    def test_gcd_n_lucas_to_2000(self):
+        for a1, a2 in ((2, 1), (1, 2), (1, -2), (9, -8)):
+            seq, us = LucasParams(a1, a2), lucas_list(a1, a2, 2000)
+            for n in range(1, 2001):
+                assert gcd_n_lucas(seq, n) == math.gcd(n, us[n]), (a1, a2, n)

@@ -202,15 +202,39 @@ class TestLowRankPrimes:
         assert rows[0].count == 13  # of the 25 primes below 100
 
     def test_exact_power_boundary(self):
-        # gamma = 1/2 at p = 841? z must satisfy z^2 <= p exactly; check the
-        # comparison is integer-exact by probing a constructed boundary:
-        # z(322573) = 568 and 568^2 = 322624 > 322573, so it must NOT count
+        # gamma = 1/2 counts the primes p <= 400 with z(p)^2 <= p, the same
+        # comparison made here on the ranks directly
         rows = scan_low_rank_primes(Fraction(1, 2), 400)
         from fibrank import rank_prime
         from fibrank.arith import primes_upto
 
         expected = sum(1 for p in primes_upto(400) if rank_prime(p) ** 2 <= p)
         assert rows[0].count == expected
+
+    def test_log_first_matches_exact_powers(self):
+        # the logarithms decide all but near-ties; checked against the exact
+        # powers for every prime below 1e5, with denominators up to the cap
+        from fibrank import rank_prime
+        from fibrank.arith import primes_upto
+
+        ranks = [(p, rank_prime(p)) for p in primes_upto(10**5)]
+        checkpoints = [10, 1000, 10**5]
+        for gamma in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1, 1000), Fraction(500, 997), Fraction(999, 1000)):
+            a, q = gamma.numerator, gamma.denominator
+            exact = [z**q <= p**a for p, z in ranks]
+            assert [oracle._at_most_power(z, q, p, a) for p, z in ranks] == exact, gamma
+            low = [p for (p, _), hit in zip(ranks, exact) if hit]
+            rows = scan_low_rank_primes(gamma, 10**5, checkpoints)
+            assert [r.count for r in rows] == [sum(1 for p in low if p <= cp) for cp in checkpoints], gamma
+
+    def test_near_ties_fall_back_to_exact_powers(self):
+        # 3^2 = 9 and 1000^3 = 10^9 are ties, and the float logarithms put
+        # 3 log2(1000) above 9 log2(10); the logarithms of 2^40 and 2^40 + 1
+        # differ by 3e-14 relative
+        assert oracle._at_most_power(3, 2, 9, 1)
+        assert oracle._at_most_power(1000, 3, 10, 9)
+        assert oracle._at_most_power(2**40, 1000, 2**40 + 1, 1000)
+        assert not oracle._at_most_power(2**40 + 1, 1000, 2**40, 1000)
 
     def test_gamma_domain(self):
         with pytest.raises(ValueError):
