@@ -31,9 +31,6 @@ def main():
     print("=" * 64)
     print(f"{'p':>6} {'(p/5)':>6} {'p-(p/5)':>8} {'z(p)':>6}  divides?")
     for p in primes_upto(60):
-        if p == 5:
-            print(f"{p:>6} {'-':>6} {'-':>8} {rank_prime(p):>6}  special: z(5) = 5")
-            continue
         e = p - jacobi(p, 5)
         z = rank_prime(p)
         print(f"{p:>6} {jacobi(p, 5):>6} {e:>8} {z:>6}  {e % z == 0}")

@@ -5,16 +5,18 @@ sequence, defined only when gcd(m, a2) = 1).  Composite ranks are built
 multiplicatively: z(m) is the lcm of z(p^e) over the prime powers of m,
 and prime-power ranks are lifted stepwise from z(p) -- the step test
 never assumes z(p^2) != z(p), so Wall's conjecture is not baked in.
-A prime rank z(p) divides e = p - (disc/p) and is found as an element
-order (Cohen, Alg. 1.4.3): starting from e, each prime of e is divided out
-while p still divides the term of the smaller index, so only the prime
-factors of e are needed, not its divisors.
+Every prime rank z(p) is found the same way, as an element order (Cohen,
+Alg. 1.4.3) lifted from a multiple e of it: e = p - (disc/p) for odd p,
+which is p itself when p | disc, and e = 6 for p = 2.  Starting from e,
+each prime of e is divided out while p still divides the term of the
+smaller index, so only the prime factors of e are needed, not its divisors.
 
 A RankCache is the one rank engine of its sequence: it chooses the
 prime-rank algorithm and the modular term function once, when it is
 built, and every rank, membership and density computation runs through it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,9 +53,8 @@ class RankCache:
             lucas_algorithms = not seq.is_fibonacci
         if not lucas_algorithms and not seq.is_fibonacci:
             raise ValueError("the Fibonacci-specific algorithms only apply to (a1, a2) = (1, 1)")
-        self.lucas_algorithms = lucas_algorithms
         if lucas_algorithms:
-            self.pair_mod = lambda n, m: lucas_pair_mod(seq, n, m)
+            self.pair_mod = functools.partial(lucas_pair_mod, seq)
             self._prime_algorithm = _prime_rank_lucas
         else:
             self.pair_mod = fib_pair_mod
@@ -120,28 +121,23 @@ def _lift_order(pair_mod, p: int, e: int) -> int:
 
 
 def _prime_rank_fib(cache: RankCache, p: int) -> int:
-    """z(p): hardwired for 2 and 5, else the order lifted from
-    e = p - (p/5), which z(p) divides."""
+    """z(p): the order lifted from e = p - (p/5), which z(p) divides;
+    (2/5) = -1 gives e = 3 and (5/5) = 0 gives e = 5."""
     z = cache._prime_z.get(p)
     if z is not None:
         return z
-    if p == 2:
-        z = 3
-    elif p == 5:
-        z = 5
-    else:
-        z = _lift_order(fib_pair_mod, p, p - arith.jacobi(p, 5))
+    z = _lift_order(fib_pair_mod, p, p - arith.jacobi(p, 5))
     cache._prime_z[p] = z
     return z
 
 
 def _prime_rank_lucas(cache: RankCache, p: int) -> int:
-    """z_u(p) for any nondegenerate parameters.
+    """z_u(p) for any nondegenerate parameters and p not dividing a2: the
+    order lifted from a multiple e of z_u(p).
 
-    Odd p not dividing disc * a2: the order lifted from e = p - (disc/p),
-    which z_u(p) divides.  p = 2: u_2 = a1 and u_3 = a1^2 + a2 with a2
-    odd, so z = 2 for even a1, else 3.  Odd p | disc: u_n = n (a1/2)^(n-1)
-    (mod p) and p does not divide a1, so z = p.
+    Odd p: e = p - (disc/p).  For p | disc this is p, and z_u(p) = p since
+    u_n = n (a1/2)^(n-1) (mod p) and p does not divide a1.  p = 2: e = 6,
+    since a2 is odd and so u_3 = a1^2 + a2 is even when u_2 = a1 is not.
     """
     z = cache._prime_z.get(p)
     if z is not None:
@@ -149,12 +145,7 @@ def _prime_rank_lucas(cache: RankCache, p: int) -> int:
     seq = cache.seq
     if math.gcd(p, seq.a2) != 1:
         raise RankUndefinedError(f"z({p}) undefined: {p} divides a2 = {seq.a2}")
-    if p == 2:
-        z = 2 if seq.a1 % 2 == 0 else 3
-    elif seq.discriminant % p == 0:
-        z = p
-    else:
-        z = _lift_order(cache.pair_mod, p, p - arith.jacobi(seq.discriminant, p))
+    z = _lift_order(cache.pair_mod, p, 6 if p == 2 else p - arith.jacobi(seq.discriminant, p))
     cache._prime_z[p] = z
     return z
 

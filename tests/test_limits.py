@@ -117,6 +117,46 @@ class TestCaps:
         assert oracle.B_SCAN_CAP >= 100_000 and oracle.STRUCTURE_CAP >= 100_000
 
 
+P64 = 18446744073709551557  # the largest prime below 2^64
+
+
+class TestSixtyFourBitInputs:
+    """64-bit inputs get their answer or exit 4 within a 1 s budget: no
+    hidden scan takes time linear in a prime."""
+
+    @staticmethod
+    def main_within_budget(argv):
+        def over_budget(signum, frame):
+            pytest.fail(f"{argv} ran past its 1 s budget")
+
+        previous = signal.signal(signal.SIGALRM, over_budget)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            return main(argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", str(P64)],
+            ["member", str(P64)],
+            ["density", str(P64), "--depth", "10"],
+            ["ell", str(2**64 - 1)],
+        ],
+        ids=["rank", "member", "density", "ell"],
+    )
+    def test_out_of_range(self, argv, capsys):
+        assert self.main_within_budget(argv) == 4
+        assert capsys.readouterr().err.startswith("error: out-of-range:")
+
+    def test_prime_of_discriminant(self, capsys):
+        # (1, (p - 1) / 4) has disc = p, so z(p) is lifted from e = p
+        assert self.main_within_budget(["rank", str(P64), "--a1", "1", "--a2", str((P64 - 1) // 4)]) == 0
+        assert capsys.readouterr().out == f"z({P64}) = {P64}, ell({P64}) = {P64}\n"
+
+
 # (call, exception type, message): each input check that no other test reaches
 REJECTIONS = {
     "density_series-k": (lambda: density_series(0, 10), ValueError, "need k >= 1, got 0"),

@@ -332,7 +332,9 @@ print(json.dumps(tracing.layer_metrics(tracer.summary(), 1)))
 
 
 class TestClosedFormPrimeRanks:
-    """z(2) and z(p) for odd p | disc come from closed forms, not a scan."""
+    """z(2) and z(p) for odd p | disc, the ranks with a closed form (z(2) is
+    2 or 3, z(p) = p), match a scan: the element-order lift from e = 6 and
+    from e = p finds them like any other prime rank."""
 
     @staticmethod
     def scan(seq, p):
@@ -358,6 +360,10 @@ class TestClosedFormPrimeRanks:
                         assert lucas_rank(seq, p, cache).z == self.scan(seq, p), (a1, a2, p)
                         checked += 1
         assert checked > 300
+        # disc = 1 + 4 a2 is p or 3p, so p | disc for every odd prime p < 1000
+        for p in primes_upto(1000)[1:]:
+            seq = LucasParams(1, (p - 1) // 4 if p % 4 == 1 else (3 * p - 1) // 4)
+            assert lucas_rank(seq, p, RankCache(seq)).z == self.scan(seq, p) == p, p
 
     def test_large_prime_discriminant_is_fast(self):
         # disc = 1 + 4 a2 = p for a prime p ~ 2^40; a scan would take ~p steps
