@@ -162,33 +162,25 @@ def _entry_valuation(p: int, z: int) -> int:
 
 
 def fib_valuation(p: int, n: int) -> int:
-    """nu_p(F_n) by the closed form.
+    """nu_p(F_n) by Lengyel's rule (Lengyel, "The order of the Fibonacci and
+    Lucas numbers", Fibonacci Quart. 33, 1995), one rule for every prime p.
 
-    p = 5:        nu_5(n)
-    p = 2:        0 if n = 1, 2 (mod 3); 1 if n = 3 (mod 6);
-                  3 if n = 6 (mod 12); nu_2(n) + 2 if 12 | n
-    other p:      0 unless z(p) | n, else nu_p(n) + nu_p(F_{z(p)})
+    With z = z(p), nu_p(F_n) = 0 unless z | n, and otherwise
+    nu_p(F_n) = nu_p(F_z) + nu_p(n / z).  For odd p != 5, p does not divide
+    z, so this is nu_p(F_z) + nu_p(n); for p = 5, z = F_5 = 5 gives nu_5(n).
+    The one exception is p = 2 with n an even multiple of z(2) = 3:
+    nu_2(F_n) = nu_2(n) + 2 there, while odd multiples give nu_2(F_3) = 1.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p == 5:
-        return _int_valuation(n, 5)
-    if p == 2:
-        if n % 3 != 0:
-            return 0
-        if n % 6 == 3:
-            return 1
-        if n % 12 == 6:
-            return 3
-        return _int_valuation(n, 2) + 2
     from .rank import rank_prime
 
-    z = rank_prime(p)
-    if n % z != 0:
+    z = rank_prime(p)  # also rejects a composite p
+    if n % z:
         return 0
-    return _int_valuation(n, p) + _entry_valuation(p, z)
+    if p == 2 and n % 2 == 0:
+        return _int_valuation(n, 2) + 2
+    return _int_valuation(n // z, p) + _entry_valuation(p, z)
 
 
 def lucas_valuation(seq: LucasParams, p: int, n: int, precision: int) -> int:

@@ -2,6 +2,7 @@
 run in exact big-integer arithmetic."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from fibrank import (
     FIBONACCI,
     LucasParams,
     OutOfRangeError,
+    U64_MAX,
     fib_exact,
     fib_pair_mod,
     fib_valuation,
@@ -126,6 +128,9 @@ class TestFibValuation:
         assert fib_valuation(2, 6) == 3
         assert fib_valuation(5, 25) == 2
         assert fib_valuation(7, 8) == 1
+        # beyond any exact term: nu_5(F_n) = nu_5(n), and nu_2(n) + 2 for even n
+        assert fib_valuation(5, 5**20) == 20
+        assert fib_valuation(2, 3 * 2**100) == 102
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -142,10 +147,33 @@ class TestFibValuation:
         from fibrank import rank_prime
         from fibrank.arith import primes_upto
 
-        for p in primes_upto(3000)[3:]:
+        for p in primes_upto(3000):
             z = rank_prime(p)
             for n in range(z, 2002, z):
                 assert fib_valuation(p, n) == int_val(FIBS[n], p), (p, n)
+
+    def test_matches_lucas_valuation(self):
+        # the rule against u_n mod p^prec with the largest prec that fits in
+        # 64 bits; most n are multiples z(p) * j * p^i far past any exact term
+        from fibrank import rank_prime
+        from fibrank.arith import primes_upto
+
+        rng = random.Random(23)
+        primes = primes_upto(1000)
+        for _ in range(2000):
+            p = rng.choice(primes)
+            if rng.random() < 0.2:
+                n = rng.randint(1, 10**9)
+            else:
+                n = rank_prime(p) * rng.randint(1, 10**6) * p ** rng.randint(0, 3)
+            prec = 1
+            while p ** (prec + 1) <= U64_MAX:
+                prec += 1
+            direct = lucas_valuation(FIBONACCI, p, n, prec)
+            if direct < prec:
+                assert fib_valuation(p, n) == direct, (p, n)
+            else:
+                assert fib_valuation(p, n) >= prec, (p, n)
 
     def test_prime_with_no_room_for_the_entry_valuation(self):
         from fibrank import rank_prime

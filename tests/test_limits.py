@@ -1,17 +1,23 @@
 """Size caps, input checks and worker counts: every size input that sizes
 an allocation fails fast above its cap, every documented rejection raises
-its exception with its message, no thread count ever starts a thread, and
-count_many's worker processes give the serial result and never outlive it."""
+its exception with its message, every command line built from the CLI specs
+exits 0, 2, 3 or 4 in bounded time, no thread count ever starts a thread,
+and count_many's worker processes give the serial result and never outlive
+it."""
 
 import errno
+import io
+import json
 import os
 import signal
 import sys
 import threading
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibrank import (
     FIBONACCI,
@@ -45,7 +51,7 @@ from fibrank import (
     scan_low_rank_primes,
 )
 from fibrank import arith, density, oracle
-from fibrank.cli import main
+from fibrank.cli import _COMMANDS, main
 
 PELL = LucasParams(2, 1)
 
@@ -120,22 +126,24 @@ class TestCaps:
 P64 = 18446744073709551557  # the largest prime below 2^64
 
 
+def main_within(argv, seconds):
+    """cli.main(argv), failing the test if it runs past seconds."""
+
+    def over_budget(signum, frame):
+        pytest.fail(f"{argv} ran past its {seconds:g} s budget")
+
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        return main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestSixtyFourBitInputs:
     """64-bit inputs get their answer or exit 4 within a 1 s budget: no
     hidden scan takes time linear in a prime."""
-
-    @staticmethod
-    def main_within_budget(argv):
-        def over_budget(signum, frame):
-            pytest.fail(f"{argv} ran past its 1 s budget")
-
-        previous = signal.signal(signal.SIGALRM, over_budget)
-        try:
-            signal.setitimer(signal.ITIMER_REAL, 1.0)
-            return main(argv)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize(
         "argv",
@@ -148,13 +156,67 @@ class TestSixtyFourBitInputs:
         ids=["rank", "member", "density", "ell"],
     )
     def test_out_of_range(self, argv, capsys):
-        assert self.main_within_budget(argv) == 4
+        assert main_within(argv, 1.0) == 4
         assert capsys.readouterr().err.startswith("error: out-of-range:")
 
     def test_prime_of_discriminant(self, capsys):
         # (1, (p - 1) / 4) has disc = p, so z(p) is lifted from e = p
-        assert self.main_within_budget(["rank", str(P64), "--a1", "1", "--a2", str((P64 - 1) // 4)]) == 0
+        assert main_within(["rank", str(P64), "--a1", "1", "--a2", str((P64 - 1) // 4)], 1.0) == 0
         assert capsys.readouterr().out == f"z({P64}) = {P64}, ell({P64}) = {P64}\n"
+
+
+# the largest value a spec argument draws besides the edge values, 2000 for
+# an argument not named here, so that a new argument is fuzzed as it stands
+_ARG_TOPS = {"k": 3000, "m": 3000, "--max": 3000}
+_EDGES = [0, 1, 2, -1, 10**9, 2**63, 2**64 - 1, 2**64]
+# left out of some cases; every other argument always gets a value, since the
+# defaults --depth 100000 and witnesses --limit 1000000 are multi-second jobs
+_OPTIONAL = {"--checkpoints", "--witnesses"}
+
+
+def _sized(arg):
+    return st.one_of(st.integers(1, _ARG_TOPS.get(arg, 2000)), st.sampled_from(_EDGES)).map(str)
+
+
+@st.composite
+def cli_argv(draw):
+    """A command line for a random subcommand, built from its _COMMANDS spec."""
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [name]
+    for arg, options in _COMMANDS[name].args:
+        if arg in _OPTIONAL and draw(st.booleans()):
+            continue
+        if arg == "--gamma":
+            argv.append(f"--gamma={draw(st.integers(-2, 1001))}/{draw(st.integers(0, 1001))}")
+        elif options.get("nargs") == "+":
+            argv += [arg, *draw(st.lists(_sized(arg), min_size=1, max_size=3))]
+        elif arg.startswith("--"):
+            argv.append(f"{arg}={draw(_sized(arg))}")  # so -1 reaches the type check
+        else:
+            argv.append(draw(_sized(arg)))
+    if draw(st.integers(0, 9)) < 6:  # degenerate and non-coprime pairs included
+        argv += [f"--a1={draw(st.integers(-12, 12))}", f"--a2={draw(st.integers(-12, 12))}"]
+    return argv + draw(st.sampled_from([[], ["--text"], ["--json"], ["--csv"]]))
+
+
+# exit code -> how stderr starts
+_STDERR_PREFIXES = {2: ("error: usage:", "usage:"), 3: ("error: domain:",), 4: ("error: out-of-range:",)}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(cli_argv())
+def test_cli_fuzz(argv):
+    """Every command line built from the specs exits 0, 2, 3 or 4 within
+    5 s, with the stderr of its exit code and parseable --json output."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main_within(argv, 5.0)
+    if code == 0:
+        if "--json" in argv:
+            json.loads(out.getvalue())
+    else:
+        assert code in _STDERR_PREFIXES, (argv, code, err.getvalue())
+        assert err.getvalue().startswith(_STDERR_PREFIXES[code]), (argv, err.getvalue())
 
 
 # (call, exception type, message): each input check that no other test reaches
