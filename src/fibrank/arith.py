@@ -144,7 +144,9 @@ def factor(n: int) -> Factorization:
     n up to the limit of the cached sieve (see mobius_spf_sieve) is split by
     repeated smallest-prime-factor division.  Larger n: trial division
     below 1000, then deterministic Miller-Rabin plus Brent-cycle Pollard rho
-    on whatever remains.
+    on whatever remains.  Each value on the stack divides that remainder,
+    which has no prime factor below 1000, so a composite one is at least
+    1009^2 and one below 1000^2 is prime without a test.
     """
     _check_u64(n)
     counts: dict[int, int] = {}
@@ -165,7 +167,7 @@ def factor(n: int) -> Factorization:
         stack = [m]
         while stack:
             v = stack.pop()
-            if is_prime(v):
+            if v < _TRIAL_LIMIT**2 or is_prime(v):
                 counts[v] = counts.get(v, 0) + 1
                 continue
             d = _pollard_brent(v)

@@ -43,8 +43,9 @@ class RankCache:
     The cache also fixes which prime-rank algorithm its users run: the
     Fibonacci-specific one, or the generalized Lucas one (which is also
     valid at (a1, a2) = (1, 1) and can be forced there to cross-check the
-    generalization against the specialized path).  Both the algorithm and
-    pair_mod are looked up when the cache is built, not at import time.
+    generalization against the specialized path).  _prime_rank(p) and
+    pair_mod(n, m) are both bound when the cache is built, not at import
+    time, from the module functions of that moment.
     """
 
     def __init__(self, seq: LucasParams = FIBONACCI, *, lucas_algorithms: bool | None = None):
@@ -55,16 +56,12 @@ class RankCache:
             raise ValueError("the Fibonacci-specific algorithms only apply to (a1, a2) = (1, 1)")
         if lucas_algorithms:
             self.pair_mod = functools.partial(lucas_pair_mod, seq)
-            self._prime_algorithm = _prime_rank_lucas
+            self._prime_rank = functools.partial(_prime_rank_lucas, self)
         else:
             self.pair_mod = fib_pair_mod
-            self._prime_algorithm = _prime_rank_fib
+            self._prime_rank = functools.partial(_prime_rank_fib, self)
         self._prime_z: dict[int, int] = {}  # z(q) for primes and prime powers q
         self._records: dict[int, RankRecord] = {}
-
-    def _prime_rank(self, p: int) -> int:
-        """z(p) for prime p by this cache's algorithm."""
-        return self._prime_algorithm(self, p)
 
     def clear(self):
         self._prime_z.clear()
@@ -132,20 +129,24 @@ def _prime_rank_fib(cache: RankCache, p: int) -> int:
 
 
 def _prime_rank_lucas(cache: RankCache, p: int) -> int:
-    """z_u(p) for any nondegenerate parameters and p not dividing a2: the
-    order lifted from a multiple e of z_u(p).
+    """z_u(p) for any nondegenerate parameters: the order lifted from a
+    multiple e of z_u(p).
 
     Odd p: e = p - (disc/p).  For p | disc this is p, and z_u(p) = p since
     u_n = n (a1/2)^(n-1) (mod p) and p does not divide a1.  p = 2: e = 6,
     since a2 is odd and so u_3 = a1^2 + a2 is even when u_2 = a1 is not.
+
+    p must not divide a2, and every caller makes sure of it: _rank_with
+    raises RankUndefinedError first, _EllOfDK and _terms skip every d and q
+    sharing a factor with avoid, _generators and scan_low_rank_primes skip
+    p | a2, and rank_prime and rank_prime_power take Fibonacci caches only.
+    For p | a2, u_n = a1^(n-1) (mod p) is never 0, as a1 and a2 are
+    coprime, so the check in _lift_order raises RuntimeError.
     """
     z = cache._prime_z.get(p)
     if z is not None:
         return z
-    seq = cache.seq
-    if math.gcd(p, seq.a2) != 1:
-        raise RankUndefinedError(f"z({p}) undefined: {p} divides a2 = {seq.a2}")
-    z = _lift_order(cache.pair_mod, p, 6 if p == 2 else p - arith.jacobi(seq.discriminant, p))
+    z = _lift_order(cache.pair_mod, p, 6 if p == 2 else p - arith.jacobi(cache.seq.discriminant, p))
     cache._prime_z[p] = z
     return z
 
@@ -188,9 +189,7 @@ def _rank_with(cache: RankCache, m: int) -> RankRecord:
 
 def rank_prime(p: int, cache: RankCache | None = None) -> int:
     """z(p) for prime p in the Fibonacci sequence."""
-    if not arith.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _cache_for(FIBONACCI, cache)._prime_rank(p)
+    return rank_prime_power(p, 1, cache)
 
 
 def rank_prime_power(p: int, e: int, cache: RankCache | None = None) -> int:

@@ -170,17 +170,30 @@ class TestFactorSievePath:
         assert as_pairs(factor(self.LIMIT + 1)) == [(17, 1), (241, 1)]
 
     def test_sieve_path_needs_no_primality_test(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError(f"is_prime({n}) called")
+        tested = []
+        real_is_prime = arith.is_prime
+
+        def recording(n):
+            tested.append(n)
+            return real_is_prime(n)
 
         monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
         mobius_spf_sieve(self.LIMIT)
-        monkeypatch.setattr(arith, "is_prime", refuse)
+        monkeypatch.setattr(arith, "is_prime", recording)
         for n in range(1, self.LIMIT + 1):
             factor(n)
-        # above the limit, 241 is left after trial division and is tested
-        with pytest.raises(AssertionError, match="241"):
-            factor(self.LIMIT + 1)
+        assert tested == []
+        # above the limit, only a cofactor of 1000^2 or more is tested: one
+        # below it has no prime factor below 1000, so it is prime
+        for n, pairs, calls in (
+            (self.LIMIT + 1, [(17, 1), (241, 1)], []),
+            (1009 * 1013, [(1009, 1), (1013, 1)], [1022117]),
+            (2**30 * 999983, [(2, 30), (999983, 1)], []),
+            (2**30 * 1000003, [(2, 30), (1000003, 1)], [1000003]),
+        ):
+            tested.clear()
+            assert as_pairs(factor(n)) == pairs, n
+            assert tested == calls, n
 
 
 class TestMobius:

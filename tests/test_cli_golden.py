@@ -38,7 +38,7 @@ COMMANDS = (
 )
 
 # exit codes 2, 3 and 4, help output, and sequences with a2 > 1 or a prime
-# discriminant (z(2) and z(p) for p | disc come from closed forms)
+# discriminant (z(2) and z(p) for p | disc, lifted from e = 6 and e = p)
 EXTRA = (
     ("rank", "3", "--a1", "1", "--a2", "-1"),  # 2: degenerate parameters
     ("rank", "0"),  # 2: rejected by the argument parser

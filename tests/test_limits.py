@@ -6,8 +6,10 @@ and count_many's worker processes give the serial result and never outlive
 it."""
 
 import errno
+import importlib
 import io
 import json
+import math
 import os
 import signal
 import sys
@@ -41,19 +43,26 @@ from fibrank import (
     inclusion_exclusion_check,
     is_member,
     lk_generators,
+    lucas_density_series,
+    lucas_is_member,
     lucas_pair_mod,
+    lucas_rank,
     lucas_valuation,
     nonmultiple_density,
     partial_ell_sum,
     rank_naive,
+    rank_prime,
     rank_prime_power,
     scan_B,
     scan_low_rank_primes,
+    verify_structure,
 )
 from fibrank import arith, density, oracle
 from fibrank.cli import _COMMANDS, main
 
 PELL = LucasParams(2, 1)
+# fibrank.rank as an attribute is the rank() function, not the module
+rank_module = importlib.import_module("fibrank.rank")
 
 
 @pytest.fixture
@@ -270,10 +279,16 @@ REJECTIONS = {
         OutOfRangeError,
         f"membership scan limit {oracle.B_SCAN_CAP + 1} outside [1, {oracle.B_SCAN_CAP}]",
     ),
-    "prime_rank-undefined": (
-        lambda: RankCache(LucasParams(1, 2))._prime_rank(2),
-        RankUndefinedError,
-        "z(2) undefined: 2 divides a2 = 2",
+    "rank_prime-p": (lambda: rank_prime(4), ValueError, "4 is not prime"),
+    "rank_prime-range": (
+        lambda: rank_prime(2**64 + 13),
+        OutOfRangeError,
+        "argument 18446744073709551629 out of supported range [1, 2^64 - 1]",
+    ),
+    "rank_prime-cache": (
+        lambda: rank_prime(7, RankCache(PELL)),
+        ValueError,
+        "cache was built for different Lucas parameters",
     ),
 }
 
@@ -283,6 +298,57 @@ def test_rejection(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "seq", [LucasParams(1, 2), LucasParams(1, 6), LucasParams(3, -10)], ids=lambda s: f"lucas-{s.a1}-{s.a2}"
+)
+def test_no_public_path_asks_prime_rank_of_a_divisor_of_a2(seq, monkeypatch):
+    """_prime_rank_lucas does not check p | a2, where z_u(p) is undefined:
+    _rank_with rejects such m, and every other caller skips such p.  A guard
+    in its place sees every prime rank that the public functions ask for."""
+    asked = []
+    real = rank_module._prime_rank_lucas
+
+    def guard(cache, p):
+        assert math.gcd(p, cache.seq.a2) == 1, (cache.seq, p)
+        asked.append(p)
+        return real(cache, p)
+
+    monkeypatch.setattr(rank_module, "_prime_rank_lucas", guard)
+    cache = RankCache(seq)
+    a2 = seq.a2
+    for m in range(1, 61):
+        if math.gcd(m, a2) == 1:
+            lucas_rank(seq, m, cache)
+        else:
+            with pytest.raises(RankUndefinedError) as info:
+                lucas_rank(seq, m, cache)
+            assert str(info.value) == f"z_u({m}) undefined: gcd({m}, a2 = {a2}) > 1"
+    members = [k for k in range(1, 31) if lucas_is_member(seq, k, cache).member]
+    assert members and all(math.gcd(k, a2) == 1 for k in members)
+    for k in (1, 2, 3, 5):
+        if math.gcd(k, a2) == 1:
+            lucas_density_series(seq, k, 300, cache)
+        else:
+            with pytest.raises(RankUndefinedError):
+                lucas_density_series(seq, k, 300, cache)
+    for k in members[:3]:
+        density_bk_series(k, 300, cache)
+        inclusion_exclusion_check(k, 200, cache)
+        lk_generators(k, 200, cache)
+        assert verify_structure(k, 2000, cache)
+    scan_low_rank_primes(Fraction(1, 2), 2000, cache=cache)
+    partial_ell_sum(300, cache)
+    scan_B(300, cache=cache)
+    assert asked
+
+
+def test_private_prime_rank_of_a_divisor_of_a2_fails_loudly():
+    """u_n = a1^(n-1) (mod p) for p | a2 is never 0, so the lift's own check
+    rejects a direct call."""
+    with pytest.raises(RuntimeError, match="2 does not divide u_6; this indicates a bug"):
+        RankCache(LucasParams(1, 2))._prime_rank(2)
 
 
 def _cpus(monkeypatch, n):
