@@ -1,11 +1,18 @@
-"""Exact integer utilities: primality, factorization, divisors, Mobius, Jacobi.
+"""Exact integer utilities: primality, factorization, divisors, Mobius,
+Jacobi symbols and square roots modulo a prime.
 
 Public entry points accept integers up to 64 bits.  That bound keeps
-Miller-Rabin deterministic (the fixed witness set below is exact for the
-whole range) and makes lcm overflow a detectable error instead of a silent
-blow-up in callers that store results in fixed-width tables.
+Miller-Rabin deterministic and makes lcm overflow a detectable error instead
+of a silent blow-up in callers that store results in fixed-width tables.
+is_prime takes the shortest prefix of the primes 2, 3, .., 37 as witnesses
+that is proven exact below n: each bound in _MR_BOUNDS is the least strong
+pseudoprime to all bases of its prefix (Pomerance, Selfridge and Wagstaff
+1980 for the prefixes to 7, Jaeschke 1993 for those to 11, 13 and 17, Jiang
+and Deng 2014 for 2 .. 23, and for all twelve bases to 37, whose least
+strong pseudoprime exceeds 2^64).
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -74,15 +81,31 @@ def primes_upto(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES = primes_upto(_TRIAL_LIMIT - 1)
+# the primes below _TRIAL_LIMIT in blocks of 12, each with its product: one
+# gcd with m shows which primes of a block divide m, often none
+_TRIAL_BLOCKS = [
+    (math.prod(block), block)
+    for block in (tuple(_SMALL_PRIMES[i : i + 12]) for i in range(0, len(_SMALL_PRIMES), 12))
+]
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first _MR_PREFIX[i] witnesses is exact for every n below
+# _MR_BOUNDS[i], and to all twelve for every 64-bit n
+_MR_BOUNDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051)
+_MR_PREFIX = (1, 2, 3, 4, 5, 6, 7, 9, 12)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 1 <= n <= 2^64 - 1.
 
-    Miller-Rabin with a witness set that is exact for all 64-bit inputs,
-    so there are no probabilistic false positives in range.
+    Miller-Rabin with the shortest witness prefix proven exact below n (see
+    the module docstring): base 2 below 2047; 2, 3 below 1,373,653; 2, 3, 5
+    below 25,326,001; 2 .. 7 below 3,215,031,751; 2 .. 11 below
+    2,152,302,898,747; 2 .. 13 below 3,474,749,660,383; 2 .. 17 below
+    341,550,071,728,321; 2 .. 23 below 3,825,123,056,546,413,051; all
+    twelve primes 2 .. 37 above.  So there are no probabilistic false
+    positives in range.
     """
     _check_u64(n)
     if n < 2:
@@ -93,7 +116,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: _MR_PREFIX[bisect.bisect_right(_MR_BOUNDS, n)]]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -143,10 +166,12 @@ def factor(n: int) -> Factorization:
 
     n up to the limit of the cached sieve (see mobius_spf_sieve) is split by
     repeated smallest-prime-factor division.  Larger n: trial division
-    below 1000, then deterministic Miller-Rabin plus Brent-cycle Pollard rho
-    on whatever remains.  Each value on the stack divides that remainder,
-    which has no prime factor below 1000, so a composite one is at least
-    1009^2 and one below 1000^2 is prime without a test.
+    below 1000, in blocks of 12 primes whose gcd with what is left names the
+    primes to divide out (none, for most blocks), then deterministic
+    Miller-Rabin plus Brent-cycle Pollard rho on whatever remains.  Each
+    value on the stack divides that remainder, which has no prime factor
+    below 1000, so a composite one is at least 1009^2 and one below 1000^2
+    is prime without a test.
     """
     _check_u64(n)
     counts: dict[int, int] = {}
@@ -157,12 +182,18 @@ def factor(n: int) -> Factorization:
             p = spf[m]
             counts[p] = counts.get(p, 0) + 1
             m //= p
-    for p in _SMALL_PRIMES:
-        if p * p > m:
+    for product, block in _TRIAL_BLOCKS:
+        if block[0] * block[0] > m:
             break
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
+        g = math.gcd(m, product)  # the product of the primes of the block dividing m
+        for p in block:
+            if g == 1:
+                break
+            if g % p == 0:
+                g //= p
+                while m % p == 0:
+                    counts[p] = counts.get(p, 0) + 1
+                    m //= p
     if m > 1:
         stack = [m]
         while stack:
@@ -173,7 +204,7 @@ def factor(n: int) -> Factorization:
             d = _pollard_brent(v)
             stack.append(d)
             stack.append(v // d)
-    return Factorization(n, tuple(PrimePower(p, e) for p, e in sorted(counts.items())))
+    return Factorization(n, tuple(itertools.starmap(PrimePower, sorted(counts.items()))))
 
 
 def mobius(f: Factorization) -> int:
@@ -212,6 +243,32 @@ def jacobi(a: int, n: int) -> int:
             r = -r
         a %= n
     return r if n == 1 else 0
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of a modulo the odd prime p, for a with (a/p) = 1.
+
+    One pow when p = 3 (mod 4); otherwise Tonelli-Shanks, with the least
+    quadratic non-residue as the generator of the 2-Sylow subgroup.
+    """
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q = p - 1
+    s = (q & -q).bit_length() - 1
+    q >>= s
+    z = 2
+    while jacobi(z, p) != -1:
+        z += 1
+    c, t, x = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # t has order 2^i < 2^s; c has order 2^s
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, x = t * c % p, x * b % p
+    return x
 
 
 def gcd_lcm(a: int, b: int) -> tuple[int, int]:

@@ -10,6 +10,10 @@ Alg. 1.4.3) lifted from a multiple e of it: e = p - (disc/p) for odd p,
 which is p itself when p | disc, and e = 6 for p = 2.  Starting from e,
 each prime of e is divided out while p still divides the term of the
 smaller index, so only the prime factors of e are needed, not its divisors.
+One loop (_lift) runs every lift, with one step test per kind of prime: a
+split prime, (disc/p) = 1, tests p | u_n as r^n = 1 in F_p for the root
+ratio r = alpha/beta, by one pow; an inert prime, p = 2 and p | disc test
+u_n mod p by the modular ladder.
 
 A RankCache is the one rank engine of its sequence: it chooses the
 prime-rank algorithm and the modular term function once, when it is
@@ -101,17 +105,37 @@ def _scan_rank(seq: LucasParams, m: int, cap: int) -> int:
 
 def _lift_order(pair_mod, p: int, e: int) -> int:
     """z(p) from a multiple e of it: the least z with p | u_z.
+    pair_mod(n, m) gives (u_n mod m, u_{n+1} mod m)."""
+    return _lift(p, e, lambda n: pair_mod(n, p)[0] == 0)
+
+
+def _split_order(p: int, a1: int, disc: int) -> int:
+    """z(p) for an odd prime p with (disc/p) = 1 and p not dividing a2.
+
+    The roots alpha, beta = (a1 +- s)/2 of x^2 - a1 x - a2, with s^2 = disc,
+    lie in F_p, and u_n = (alpha^n - beta^n)/s, so p | u_n exactly when
+    r^n = 1 for r = alpha/beta = (a1 + s)/(a1 - s): z(p) is the order of r,
+    lifted from e = p - 1 by one pow per step.  For p | a2 one root is 0, so
+    r is taken as 0 and the lift's check fails.
+    """
+    s = arith.sqrt_mod(disc, p)
+    r = (a1 + s) * pow(a1 - s, -1, p) % p if (a1 - s) % p else 0
+    return _lift(p, p - 1, lambda n: pow(r, n, p) == 1)
+
+
+def _lift(p: int, e: int, divides) -> int:
+    """The least z with p | u_z, from a multiple e of it; divides(n) tells
+    whether p | u_n.
 
     The n with p | u_n are the multiples of z(p), so for each prime power
     q^a of e, q is divided out of z = e while p divides u_{z/q}.
-    pair_mod(n, m) gives (u_n mod m, u_{n+1} mod m).
     """
-    if pair_mod(e, p)[0] != 0:
+    if not divides(e):
         raise RuntimeError(f"{p} does not divide u_{e}; this indicates a bug")
     z = e
     for pp in arith.factor(e).factors:
         for _ in range(pp.e):
-            if pair_mod(z // pp.p, p)[0] != 0:
+            if not divides(z // pp.p):
                 break
             z //= pp.p
     return z
@@ -119,11 +143,13 @@ def _lift_order(pair_mod, p: int, e: int) -> int:
 
 def _prime_rank_fib(cache: RankCache, p: int) -> int:
     """z(p): the order lifted from e = p - (p/5), which z(p) divides;
-    (2/5) = -1 gives e = 3 and (5/5) = 0 gives e = 5."""
+    (2/5) = -1 gives e = 3 and (5/5) = 0 gives e = 5.  A split prime,
+    (p/5) = 1, tests each step by a pow in F_p (_split_order)."""
     z = cache._prime_z.get(p)
     if z is not None:
         return z
-    z = _lift_order(fib_pair_mod, p, p - arith.jacobi(p, 5))
+    j = arith.jacobi(p, 5)
+    z = _split_order(p, 1, 5) if j == 1 else _lift_order(fib_pair_mod, p, p - j)
     cache._prime_z[p] = z
     return z
 
@@ -133,20 +159,28 @@ def _prime_rank_lucas(cache: RankCache, p: int) -> int:
     multiple e of z_u(p).
 
     Odd p: e = p - (disc/p).  For p | disc this is p, and z_u(p) = p since
-    u_n = n (a1/2)^(n-1) (mod p) and p does not divide a1.  p = 2: e = 6,
-    since a2 is odd and so u_3 = a1^2 + a2 is even when u_2 = a1 is not.
+    u_n = n (a1/2)^(n-1) (mod p) and p does not divide a1.  A split prime,
+    (disc/p) = 1, tests each step by a pow in F_p (_split_order).  p = 2:
+    e = 6, since a2 is odd and so u_3 = a1^2 + a2 is even when u_2 = a1 is
+    not.
 
     p must not divide a2, and every caller makes sure of it: _rank_with
     raises RankUndefinedError first, _EllOfDK and _terms skip every d and q
     sharing a factor with avoid, _generators and scan_low_rank_primes skip
     p | a2, and rank_prime and rank_prime_power take Fibonacci caches only.
     For p | a2, u_n = a1^(n-1) (mod p) is never 0, as a1 and a2 are
-    coprime, so the check in _lift_order raises RuntimeError.
+    coprime, so the check in _lift raises RuntimeError.
     """
     z = cache._prime_z.get(p)
     if z is not None:
         return z
-    z = _lift_order(cache.pair_mod, p, 6 if p == 2 else p - arith.jacobi(cache.seq.discriminant, p))
+    seq = cache.seq
+    if p == 2:
+        z = _lift_order(cache.pair_mod, 2, 6)
+    elif (j := arith.jacobi(seq.discriminant, p)) == 1:
+        z = _split_order(p, seq.a1, seq.discriminant)
+    else:
+        z = _lift_order(cache.pair_mod, p, p - j)
     cache._prime_z[p] = z
     return z
 

@@ -20,7 +20,7 @@ from fibrank import (
     mobius,
 )
 from fibrank import arith
-from fibrank.arith import mobius_spf_sieve, primes_upto
+from fibrank.arith import mobius_spf_sieve, primes_upto, sqrt_mod
 
 
 def trial_factor(n):
@@ -42,6 +42,36 @@ def trial_factor(n):
 
 def trial_is_prime(n):
     return n >= 2 and trial_factor(n) == [(n, 1)]
+
+
+def strong_probable_prime(n, a):
+    """Oracle: whether odd n > a passes the strong test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+# the least strong pseudoprime to each prefix of the bases 2, 3, 5, .., 23
+# (Pomerance-Selfridge-Wagstaff 1980, Jaeschke 1993, Jiang-Deng 2014)
+LEAST_STRONG_PSEUDOPRIMES = [
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+]
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def divisor_scan(n):
@@ -83,6 +113,42 @@ class TestIsPrime:
     @given(st.integers(1, 10**6))
     def test_agrees_with_trial_division(self, n):
         assert is_prime(n) == trial_is_prime(n)
+
+    def test_agrees_with_the_sieve_below_1e6(self):
+        primes = set(primes_upto(10**6))
+        assert [n for n in range(1, 10**6) if is_prime(n) != (n in primes)] == []
+
+    @pytest.mark.parametrize("bound, k", LEAST_STRONG_PSEUDOPRIMES)
+    def test_witness_prefix_bounds(self, bound, k):
+        # each bound fools its own base prefix, so a prefix used at n = bound
+        # (a < / <= slip) would call it prime; a later base unmasks it
+        assert all(strong_probable_prime(bound, a) for a in BASES[:k])
+        assert not all(strong_probable_prime(bound, a) for a in BASES)
+        assert not is_prime(bound)
+        # the largest prime below the bound, and every n near the bound,
+        # against all twelve bases, which are exact for every 64-bit n
+        exact = lambda n: n in BASES or (
+            n > 1 and all(n % a for a in BASES) and all(strong_probable_prime(n, a) for a in BASES)
+        )
+        below = next(n for n in range(bound - 1, 1, -1) if exact(n))
+        assert is_prime(below)
+        for n in range(max(2, bound - 300), bound + 300):
+            assert is_prime(n) == exact(n), n
+
+
+class TestSqrtMod:
+    def test_every_residue_of_small_primes(self):
+        for p in primes_upto(400)[1:]:
+            for x in range(1, p):
+                a = x * x % p
+                assert sqrt_mod(a, p) ** 2 % p == a, (p, a)
+
+    @pytest.mark.parametrize("p", [998244353, 3221225473, 2**64 - 2**32 + 1, 2**61 - 1])
+    def test_large_two_adic_part(self, p):
+        # p - 1 has 2-adic part 2^23, 2^30, 2^32 and 2 (p = 3 mod 4: one pow)
+        for x in (2, 3, 5, 7, 123456789, p - 1, p // 3):
+            for a in (x * x, x * x - 7 * p):  # a negative representative too
+                assert sqrt_mod(a, p) ** 2 % p == a % p, (p, a)
 
 
 class TestFactor:

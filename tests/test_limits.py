@@ -346,9 +346,13 @@ def test_no_public_path_asks_prime_rank_of_a_divisor_of_a2(seq, monkeypatch):
 
 def test_private_prime_rank_of_a_divisor_of_a2_fails_loudly():
     """u_n = a1^(n-1) (mod p) for p | a2 is never 0, so the lift's own check
-    rejects a direct call."""
+    rejects a direct call.  3 | a2 = 6 is split, (25/3) = 1, and a root of
+    x^2 - x - 6 is 0 mod 3, so the root ratio of the pow lift does not exist:
+    the same check rejects it, not a failed modular inverse."""
     with pytest.raises(RuntimeError, match="2 does not divide u_6; this indicates a bug"):
         RankCache(LucasParams(1, 2))._prime_rank(2)
+    with pytest.raises(RuntimeError, match="3 does not divide u_2; this indicates a bug"):
+        RankCache(LucasParams(1, 6))._prime_rank(3)
 
 
 def _cpus(monkeypatch, n):

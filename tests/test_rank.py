@@ -4,6 +4,7 @@ divisibility first, then everything else is measured against it."""
 
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,8 @@ from fibrank import (
     factor,
     fib_exact,
     fib_pair_mod,
+    is_prime,
+    jacobi,
     lucas_pair_mod,
     lucas_rank,
     rank,
@@ -28,7 +31,7 @@ from fibrank import (
     rank_prime_power,
 )
 from fibrank.arith import MAX_DIVISORS, primes_upto
-from fibrank.rank import RankCache, _lift_order, _scan_rank
+from fibrank.rank import RankCache, _lift_order, _scan_rank, _split_order
 
 
 def first_fib_multiple(m, bound=2000):
@@ -147,6 +150,56 @@ class TestLiftedPrimeRank:
         # z(7) = 8 does not divide 7
         with pytest.raises(RuntimeError):
             _lift_order(fib_pair_mod, 7, 7)
+
+
+class TestSplitPrimeLift:
+    """A split prime, (disc/p) = 1, lifts its rank as the order of the root
+    ratio r in F_p, by pow; it must equal the ladder lift from e = p - 1."""
+
+    @staticmethod
+    def ladder_rank(seq, p):
+        e = 6 if p == 2 else p - jacobi(seq.discriminant, p)
+        return _lift_order(lambda n, m: lucas_pair_mod(seq, n, m), p, e)
+
+    @pytest.mark.parametrize("a1, a2", [(1, 1), (2, 1), (1, 2), (1, 3), (1, 6), (3, -10)])
+    def test_every_prime_below_1e5(self, a1, a2):
+        # (1, 2) and (1, 6) have square discriminants 9 and 25, so every odd
+        # p not dividing them is split; (3, -10) has disc = -31 < 0
+        seq = LucasParams(a1, a2)
+        cache = RankCache(seq)
+        split = 0
+        for p in primes_upto(10**5):
+            if a2 % p == 0:
+                continue
+            assert cache._prime_rank(p) == self.ladder_rank(seq, p), p
+            if p > 2 and jacobi(seq.discriminant, p) == 1:
+                assert _split_order(p, a1, seq.discriminant) == cache._prime_rank(p), p
+                split += 1
+        assert split > 4000
+
+    def test_random_64_bit_fibonacci_primes(self):
+        rng = random.Random(25)
+        cache = RankCache()
+        checked = 0
+        while checked < 2000:
+            p = rng.getrandbits(64) | 1 << 63 | 1
+            if p % 5 not in (1, 4) or not is_prime(p):
+                continue
+            assert rank_prime(p, cache) == _lift_order(fib_pair_mod, p, p - 1), p
+            checked += 1
+
+    @pytest.mark.parametrize("p", [998244353, 3221225473, 2**64 - 2**32 + 1])
+    def test_large_two_adic_part(self, p):
+        # p - 1 = 119 * 2^23, 3 * 2^30 and 2^32 (2^32 - 1): Tonelli-Shanks
+        # runs its reduction loop for many rounds
+        assert is_prime(p)
+        for a1, a2 in [(1, 1), (1, 2), (1, 6), (3, -10), (5, 7)]:
+            seq = LucasParams(a1, a2)
+            if jacobi(seq.discriminant, p) != 1:
+                continue
+            z = _split_order(p, a1, seq.discriminant)
+            assert z == self.ladder_rank(seq, p), (a1, a2)
+            assert (p - 1) % z == 0
 
 
 class TestRankPrimePower:
