@@ -164,24 +164,16 @@ def _pollard_brent(n):
 def factor(n: int) -> Factorization:
     """Complete prime factorization of 1 <= n <= 2^64 - 1.
 
-    n up to the limit of the cached sieve (see mobius_spf_sieve) is split by
-    repeated smallest-prime-factor division.  Larger n: trial division
-    below 1000, in blocks of 12 primes whose gcd with what is left names the
-    primes to divide out (none, for most blocks), then deterministic
-    Miller-Rabin plus Brent-cycle Pollard rho on whatever remains.  Each
-    value on the stack divides that remainder, which has no prime factor
-    below 1000, so a composite one is at least 1009^2 and one below 1000^2
-    is prime without a test.
+    Trial division below 1000, in blocks of 12 primes whose gcd with what is
+    left names the primes to divide out (none, for most blocks), then
+    deterministic Miller-Rabin plus Brent-cycle Pollard rho on whatever
+    remains.  Each value on the stack divides that remainder, which has no
+    prime factor below 1000, so a composite one is at least 1009^2 and one
+    below 1000^2 is prime without a test.
     """
     _check_u64(n)
     counts: dict[int, int] = {}
     m = n
-    limit, _, spf = _SIEVE
-    if n <= limit:
-        while m > 1:
-            p = spf[m]
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
     for product, block in _TRIAL_BLOCKS:
         if block[0] * block[0] > m:
             break
@@ -289,7 +281,7 @@ def checked_lcm(a: int, b: int) -> int:
 
 
 # Grow-only cache for the (mobius, smallest-prime-factor) sieve: the series
-# windows (density._EllOfDK) build it, and factor reads it.
+# windows (density._EllOfDK, density._terms) build it and read it.
 _SIEVE: tuple[int, list[int], list[int]] = (0, [], [])
 
 

@@ -208,13 +208,10 @@ def _scan_b(a, cache):
 
 
 def _scan_b_text(r):
-    lines = [
+    return "\n".join(
         f"#B({row['x']}) = {row['count']} (ratio {row['ratio']:.6g}, ratio*log(x) {row['ratio_logx']:.6g})"
         for row in r["rows"]
-    ]
-    if r["unknown"]:
-        lines.append(f"unknown (ell out of range): {r['unknown']}")
-    return "\n".join(lines)
+    )
 
 
 def _ellsum(a, cache):

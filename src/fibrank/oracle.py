@@ -303,23 +303,18 @@ def scan_B(
     """#B(checkpoint) = #{k <= checkpoint : A_k != {}} via the membership
     criterion, one is_member call per k.
 
-    Returns (rows, unknown): any k whose ell(k) overflows the supported
-    width is tallied as unknown instead of silently dropped.
+    Returns (rows, unknown).  unknown is always 0, the count of k whose
+    ell(k) leaves the supported width, and no k <= B_SCAN_CAP has one:
+    z(2^e) <= 3 * 2^(e-1) and z(p^e) <= (p + 1) p^(e-1) for odd p give
+    z(k) < 3.6 k over the primes of such k, so ell(k) <= k z(k) < 2^36.
     """
     if not 1 <= x <= B_SCAN_CAP:
         raise OutOfRangeError(f"membership scan limit {x} outside [1, {B_SCAN_CAP}]")
     checkpoints = _checkpoints(checkpoints, x)
     _check_threads(threads)
     cache = _cache_for(None, cache)
-    members = []
-    unknown = 0
-    for k in range(1, x + 1):
-        try:
-            if is_member(k, cache).member:
-                members.append(k)
-        except OutOfRangeError:
-            unknown += 1
-    return _rows(members, checkpoints), unknown
+    members = [k for k in range(1, x + 1) if is_member(k, cache).member]
+    return _rows(members, checkpoints), 0
 
 
 def _at_most_power(z: int, q: int, p: int, a: int) -> bool:

@@ -204,8 +204,7 @@ class TestPollardBrentBacktrack:
 
     SEMIPRIMES = (1009 * 1049, 1009 * 1061, 1009 * 1069, 1009 * 1087, 1009 * 1097)
 
-    def test_factor_without_sieve(self, monkeypatch):
-        monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
+    def test_factor_without_sieve(self):
         assert as_pairs(factor(1009 * 1049)) == [(1009, 1), (1049, 1)]
 
     @pytest.mark.parametrize("n", SEMIPRIMES)
@@ -214,28 +213,29 @@ class TestPollardBrentBacktrack:
         assert 1 < g < n and n % g == 0
 
 
-class TestFactorSievePath:
-    """n up to the cached sieve limit is factored by smallest-prime-factor
-    division; the sieve is set with monkeypatch so none of it leaks."""
+class TestFactorOnePath:
+    """factor takes one path for every n, trial division in gcd-tested
+    blocks and then Miller-Rabin and Pollard-Brent, whatever sieve an earlier
+    series window left cached; the sieve is set with monkeypatch so none of
+    it leaks."""
 
     LIMIT = 4096  # 2^12; LIMIT + 1 = 17 * 241
 
-    def test_matches_unsieved(self, monkeypatch):
-        monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
-        span = range(1, self.LIMIT + 51)
-        unsieved = [factor(n) for n in span]
-        mobius_spf_sieve(self.LIMIT)
-        assert arith._SIEVE[0] == self.LIMIT
-        for n, f in zip(span, unsieved):
-            assert factor(n) == f, n
-            assert as_pairs(f) == trial_factor(n), n
+    def test_matches_trial_division(self):
+        for n in range(1, self.LIMIT + 51):
+            assert as_pairs(factor(n)) == trial_factor(n), n
         assert as_pairs(factor(1)) == []
         assert as_pairs(factor(4093)) == [(4093, 1)]  # prime
         assert as_pairs(factor(3**7)) == [(3, 7)]
         assert as_pairs(factor(self.LIMIT)) == [(2, 12)]
         assert as_pairs(factor(self.LIMIT + 1)) == [(17, 1), (241, 1)]
 
-    def test_sieve_path_needs_no_primality_test(self, monkeypatch):
+    def test_ignores_a_wrong_cached_sieve(self, monkeypatch):
+        monkeypatch.setattr(arith, "_SIEVE", (self.LIMIT, [0] * (self.LIMIT + 1), [2] * (self.LIMIT + 1)))
+        for n in range(1, self.LIMIT + 51):
+            assert as_pairs(factor(n)) == trial_factor(n), n
+
+    def test_small_cofactor_needs_no_primality_test(self, monkeypatch):
         tested = []
         real_is_prime = arith.is_prime
 
@@ -243,14 +243,12 @@ class TestFactorSievePath:
             tested.append(n)
             return real_is_prime(n)
 
-        monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
-        mobius_spf_sieve(self.LIMIT)
         monkeypatch.setattr(arith, "is_prime", recording)
         for n in range(1, self.LIMIT + 1):
             factor(n)
         assert tested == []
-        # above the limit, only a cofactor of 1000^2 or more is tested: one
-        # below it has no prime factor below 1000, so it is prime
+        # only a cofactor of 1000^2 or more is tested: one below it has no
+        # prime factor below 1000, so it is prime
         for n, pairs, calls in (
             (self.LIMIT + 1, [(17, 1), (241, 1)], []),
             (1009 * 1013, [(1009, 1), (1013, 1)], [1022117]),
@@ -288,8 +286,7 @@ class TestMobius:
 
 
 class TestSieveVsTrialDivision:
-    """mobius_spf_sieve against a reference that uses no sieve: factor() reads
-    the cached spf once the sieve is built, so it cannot serve as the oracle."""
+    """mobius_spf_sieve against a reference built by trial division alone."""
 
     LIMIT = 20_000
 

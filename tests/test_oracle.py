@@ -27,6 +27,7 @@ from fibrank import (
     is_member,
     iter_Ak,
     lk_generators,
+    lucas_rank,
     nonmultiple_density,
     oracle,
     partial_ell_sum,
@@ -181,6 +182,16 @@ class TestScanB:
         pell_rows, pell_unknown = scan_B(50, cache=default_cache(LucasParams(2, 1)))
         assert unknown == pell_unknown == 0
         assert rows[0].count != pell_rows[0].count  # different sequences, different members
+
+    @pytest.mark.parametrize("a1,a2", [(1, 1), (2, 1), (1, 2), (3, -10), (12, 5)])
+    def test_ell_far_below_the_width(self, a1, a2):
+        # the premise of unknown = 0 below B_SCAN_CAP: z(k) < 3.6 k, so ell(k) < 2^36
+        seq = LucasParams(a1, a2)
+        cache = RankCache(seq)
+        for k in range(1, 5001):
+            if math.gcd(k, a2) == 1:
+                rec = lucas_rank(seq, k, cache)
+                assert rec.z < 4 * k and rec.ell < 2**40, k
 
 
 class TestLowRankPrimes:
