@@ -5,6 +5,8 @@ The density of A_k is the series sum_{d >= 1} mu(d) / ell(dk).  Partial sums
 are exact rationals, so rearrangement identities can be tested as exact
 equality.  The reported tail window sum_{D < d <= 4D, d squarefree}
 1/ell(dk) is a heuristic convergence indicator, not a proved bound.
+The same window, taken for k = 1, gives ell(n) for every n of a range to
+the scans oracle.partial_ell_sum and oracle.scan_B.
 
 Each window of admitted squarefree d <= hi (hi = D for the partial sum, 4D
 for the tail) is summed exactly, and only the total becomes a Fraction.
@@ -192,21 +194,17 @@ class _EllOfDK:
     """One window of a depth-`depth` series for k: the Mobius sieve to hi,
     the largest d its sums read; avoid, the modulus every summed d must be
     coprime to (a2, times k for the B_k series); ell(k); and, when called,
-    ell(dk) for a squarefree d <= hi.  The series is validated before the
-    sieve is built.
+    ell(dk) for a d <= hi coprime to a2.  The series is validated before
+    the sieve is built.
 
-    For squarefree d, ell(dk) = lcm(dk, z(k), z(p) for each prime p of d),
-    the formula _generators uses for ell(kp), so a window reads only k's
-    record and prime ranks.  z(dk) is the lcm of the z of dk's prime
-    powers, so the formula holds at once unless some prime q of d divides
-    k.  Let q^e || k: z(dk) then takes z(q^(e+1)) for z(q^e), and
-    z(q^(e+1)) is z(q^e) or q z(q^e), the lift of rank._prime_power_rank
-    (z(q) divides z(q^e), so the formula's z(q) adds nothing).  Also
-    nu_q(z(q^(e+1))) <= e + 1, because nu_q(z(q)) <= 1: z(q) divides
-    q - (disc/q), or is q for an odd q | disc, or is 2 or 3 for q = 2.  So
-    z(q^(e+1)) divides lcm(q^(e+1), z(q^e)), and dk already holds
-    q^(e+1).  Once q^(e+1) passes 64 bits, so does dk, and checked_lcm
-    raises OutOfRangeError.
+    For every m coprime to a2, ell(m) = lcm(m, z(p) for each prime p | m):
+    z(p^e) divides p^(e-1) z(p) (Lucas's law of repetition), and p^2 never
+    divides z(p), which divides p - (disc/p), is p for an odd p | disc and
+    is 2 or 3 for p = 2.  z(q) divides z(k) for each prime q of k, so
+    ell(dk) = lcm(dk, z(k), z(p) for each prime p of d), squarefree d or
+    not, and a window reads only k's record and prime ranks.  An ell(dk)
+    past 64 bits raises OutOfRangeError in checked_lcm, as rank._rank_with
+    raises for dk.
     """
 
     __slots__ = ("avoid", "ell_k", "k", "mu", "prime_rank", "spf", "z_k")
@@ -290,9 +288,13 @@ def is_member(k: int, cache: RankCache | None = None) -> MembershipVerdict:
     cache = _cache_for(None, cache)
     if math.gcd(k, cache.seq.a2) != 1:
         return MembershipVerdict(k, 0, 0, False)
-    rec = rank_mod._rank_with(cache, k)
-    g = math.gcd(rec.ell, cache.pair_mod(rec.ell, rec.ell)[0])
-    return MembershipVerdict(k, rec.ell, g, g == k)
+    return _verdict(cache, k, rank_mod._rank_with(cache, k).ell)
+
+
+def _verdict(cache: RankCache, k: int, ell: int) -> MembershipVerdict:
+    """The verdict on A_k for k coprime to a2, from ell = ell(k)."""
+    g = math.gcd(ell, cache.pair_mod(ell, ell)[0])
+    return MembershipVerdict(k, ell, g, g == k)
 
 
 def lucas_is_member(seq: LucasParams, k: int, cache: RankCache | None = None) -> MembershipVerdict:

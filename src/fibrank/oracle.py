@@ -6,7 +6,8 @@ nonmultiple_density is a naive sieve, so these results can ground the
 formula-based paths.  The rest goes through ranks: the structural side of
 verify_structure builds L_k from ell(kp), scan_B applies the membership
 criterion, scan_low_rank_primes compares z(p) with p^gamma and
-partial_ell_sum sums 1/ell(n).
+partial_ell_sum sums 1/ell(n).  scan_B and partial_ell_sum read ell(n) for
+every n of their range off one series window (density._EllOfDK, k = 1).
 
 count_many (and count_Ak through it) splits n = 1..x into contiguous runs,
 one per CPU of the affinity mask, and scans them in the calling process
@@ -27,7 +28,7 @@ from functools import partial
 
 from . import arith, rank as rank_mod
 from .arith import OutOfRangeError
-from .density import GeneratorSet, NonMemberError, _check_threads, _exact_sum, _generators, is_member
+from .density import GeneratorSet, NonMemberError, _check_threads, _EllOfDK, _exact_sum, _generators, _verdict, is_member
 from .fib import FIBONACCI, LucasParams, gcd_n_fib, gcd_n_lucas
 from .rank import RankCache, _cache_for
 
@@ -301,7 +302,8 @@ def scan_B(
     threads: int = 1,
 ) -> tuple[list[ScanRow], int]:
     """#B(checkpoint) = #{k <= checkpoint : A_k != {}} via the membership
-    criterion, one is_member call per k.
+    criterion, with ell(k) read off one series window for k <= x.  A k
+    sharing a prime with a2 is a non-member (see is_member) and is skipped.
 
     Returns (rows, unknown).  unknown is always 0, the count of k whose
     ell(k) leaves the supported width, and no k <= B_SCAN_CAP has one:
@@ -311,9 +313,10 @@ def scan_B(
     if not 1 <= x <= B_SCAN_CAP:
         raise OutOfRangeError(f"membership scan limit {x} outside [1, {B_SCAN_CAP}]")
     checkpoints = _checkpoints(checkpoints, x)
-    _check_threads(threads)
     cache = _cache_for(None, cache)
-    members = [k for k in range(1, x + 1) if is_member(k, cache).member]
+    window = _EllOfDK(cache, 1, x, x, False, threads)
+    gcd = math.gcd
+    members = [k for k in range(1, x + 1) if gcd(k, window.avoid) == 1 and _verdict(cache, k, window(k)).member]
     return _rows(members, checkpoints), 0
 
 
@@ -363,19 +366,15 @@ def scan_low_rank_primes(
 
 def partial_ell_sum(N: int, cache: RankCache | None = None) -> Fraction:
     """Exact sum of 1/ell(n) over n <= N (skipping n not coprime to a2
-    for a Lucas sequence, where ell_u(n) is undefined)."""
+    for a Lucas sequence, where ell_u(n) is undefined), with each ell(n)
+    read off one series window for n <= N."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     if N > B_SCAN_CAP:
         raise OutOfRangeError(f"ell sum limit {N} above cap {B_SCAN_CAP}")
-    cache = _cache_for(None, cache)
-    a2 = cache.seq.a2
+    window = _EllOfDK(_cache_for(None, cache), 1, N, N, False, 1)
     gcd = math.gcd
-    return _exact_sum(
-        (1, 1, rank_mod._rank_with(cache, n).ell)
-        for n in range(1, N + 1)
-        if gcd(n, a2) == 1
-    )
+    return _exact_sum((1, 1, window(n)) for n in range(1, N + 1) if gcd(n, window.avoid) == 1)
 
 
 def nonmultiple_density(g: GeneratorSet, x: int) -> Fraction:

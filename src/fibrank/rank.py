@@ -5,6 +5,10 @@ sequence, defined only when gcd(m, a2) = 1).  Composite ranks are built
 multiplicatively: z(m) is the lcm of z(p^e) over the prime powers of m,
 and prime-power ranks are lifted stepwise from z(p) -- the step test
 never assumes z(p^2) != z(p), so Wall's conjecture is not baked in.
+ell(m) needs only the prime ranks: for every m coprime to a2,
+ell(m) = lcm(m, z(p) for each prime p | m), since z(p^e) divides
+p^(e-1) z(p) (Lucas's law of repetition) and p^2 never divides z(p)
+(see density._EllOfDK, which reads ell off this rule over a sieved range).
 Every prime rank z(p) is found the same way, as an element order (Cohen,
 Alg. 1.4.3) lifted from a multiple e of it: e = p - (disc/p) for odd p,
 which is p itself when p | disc, and e = 6 for p = 2.  Starting from e,
@@ -41,8 +45,7 @@ class RankRecord:
 
 
 class RankCache:
-    """Memo tables for one sequence: ranks of primes and prime powers,
-    and whole records.
+    """The memo table of one sequence: ranks of primes and prime powers.
 
     The cache also fixes which prime-rank algorithm its users run: the
     Fibonacci-specific one, or the generalized Lucas one (which is also
@@ -65,11 +68,9 @@ class RankCache:
             self.pair_mod = fib_pair_mod
             self._prime_rank = functools.partial(_prime_rank_fib, self)
         self._prime_z: dict[int, int] = {}  # z(q) for primes and prime powers q
-        self._records: dict[int, RankRecord] = {}
 
     def clear(self):
         self._prime_z.clear()
-        self._records.clear()
 
 
 _DEFAULT_CACHES: dict[LucasParams, RankCache] = {}
@@ -203,9 +204,6 @@ def _prime_power_rank(cache: RankCache, p: int, e: int) -> int:
 def _rank_with(cache: RankCache, m: int) -> RankRecord:
     """The record of m: the one place that rejects m < 1 and an undefined
     z_u(m), gcd(m, a2) > 1."""
-    rec = cache._records.get(m)
-    if rec is not None:
-        return rec
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     a2 = cache.seq.a2
@@ -215,10 +213,7 @@ def _rank_with(cache: RankCache, m: int) -> RankRecord:
     z = 1
     for pp in arith.factor(m).factors:
         z = checked_lcm(z, _prime_power_rank(cache, pp.p, pp.e))
-    ell = checked_lcm(m, z)
-    rec = RankRecord(m, z, ell)
-    cache._records[m] = rec
-    return rec
+    return RankRecord(m, z, checked_lcm(m, z))
 
 
 def rank_prime(p: int, cache: RankCache | None = None) -> int:

@@ -7,6 +7,7 @@ from hand-checkable ell values (ell(2) = 6, ell(3) = 12, ell(5) = 5, ...).
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -441,12 +442,20 @@ class TestGenerators:
             ell_k = _rank_with(ref, k).ell
             assert [(p, _rank_with(ref, k * p).ell // ell_k) for p, _ in g.ratio_part] == list(g.ratio_part), k
 
-    def test_no_record_per_prime(self):
-        # ell(kp) comes from z(k) and z(p); k*p is neither factored nor recorded
-        cache = RankCache()
-        g = lk_generators(2, 1000, cache)
+    def test_no_record_per_prime(self, monkeypatch):
+        # ell(kp) comes from z(k) and z(p); k*p is neither factored nor ranked
+        asked = []
+        rank_mod = sys.modules["fibrank.rank"]
+        real = rank_mod._rank_with
+
+        def recording(cache, m):
+            asked.append(m)
+            return real(cache, m)
+
+        monkeypatch.setattr(rank_mod, "_rank_with", recording)
+        g = lk_generators(2, 1000, RankCache())
         assert len(g.ratio_part) == 167
-        assert all(m <= 1000 for m in cache._records)
+        assert set(asked) == {2}
 
     def test_ell_kp_past_64_bits(self):
         # k = 5^27 is a member with ell(k) = k; ell(2k) = 6 * 5^27 > 2^64
@@ -577,13 +586,13 @@ class TestLucas:
 class TestEllOfDK:
     @pytest.mark.parametrize("seq", [FIBONACCI, PELL], ids=["fibonacci", "pell"])
     def test_matches_composite_rank(self, seq):
-        # k <= 60 includes the prime powers 4, 8, 9, 16, 25, 27, 32 and 49
+        # k <= 60 includes the prime powers 4, 8, 9, 16, 25, 27, 32 and 49,
+        # and every d, squarefree or not, is held to the composite rank
         ref = RankCache(seq)
         for k in range(1, 61):
             ell_dk = _EllOfDK(RankCache(seq), k, 3000, 3000, False, 1)
             for d in range(1, 3001):
-                if ell_dk.mu[d]:
-                    assert ell_dk(d) == _rank_with(ref, d * k).ell, (k, d)
+                assert ell_dk(d) == _rank_with(ref, d * k).ell, (k, d)
 
     @pytest.mark.parametrize("seq", [FIBONACCI, PELL], ids=["fibonacci", "pell"])
     @pytest.mark.parametrize("k", [2**10, 3**7, 5**3, 13**3, 2**62, 5**27])
@@ -599,14 +608,13 @@ class TestEllOfDK:
             return
         ell_dk = _EllOfDK(RankCache(seq), k, 2000, 2000, False, 1)
         for d in range(1, 2001):
-            if ell_dk.mu[d]:
-                try:
-                    expected = _rank_with(ref, d * k).ell
-                except OutOfRangeError:
-                    with pytest.raises(OutOfRangeError):
-                        ell_dk(d)
-                else:
-                    assert ell_dk(d) == expected, (k, d)
+            try:
+                expected = _rank_with(ref, d * k).ell
+            except OutOfRangeError:
+                with pytest.raises(OutOfRangeError):
+                    ell_dk(d)
+            else:
+                assert ell_dk(d) == expected, (k, d)
 
 
 class TestSharedPrimeWithA2:

@@ -342,6 +342,19 @@ class TestLucasGridDifferential:
                 cases += 1
         assert cases == 4540
 
+    def test_range_scans_vs_records(self):
+        # scan_B and partial_ell_sum read ell(n) off a series window; here each
+        # is held to the per-n records and verdicts of lucas_rank and
+        # lucas_is_member, which the test above ties to enumeration
+        from fibrank import lucas_is_member
+
+        for seq in small_lucas_params(9):
+            coprime = [n for n in range(1, 31) if math.gcd(n, seq.a2) == 1]
+            members = [k for k in coprime if lucas_is_member(seq, k).member]
+            assert scan_B(30, [10, 30], cache=RankCache(seq)) == (oracle._rows(members, [10, 30]), 0), seq
+            expected = sum(Fraction(1, lucas_rank(seq, n).ell) for n in coprime)
+            assert partial_ell_sum(30, RankCache(seq)) == expected, seq
+
     def test_structure_small_parameters(self):
         from fibrank import default_cache, lucas_is_member
 
