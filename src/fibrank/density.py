@@ -20,10 +20,10 @@ and is at most 3 for q = 2, so an odd p | z(q) is q or divides the even
 number q -+ 1.
 
 A grouped p divides ell(dk) exactly once when p | d, and not at all
-otherwise.  ell(dk) = lcm(dk, z(k), z(q) for each prime q of d) (see
-_EllOfDK), and p divides neither z(k), a divisor of ell(k), nor the z(q)
-of the admitted primes q <= hi, which the test keeps prime to p.  p
-divides neither j nor k, so p || dk.
+otherwise.  ell(dk) = lcm(dk, ell(k), z(q) for each prime q of d) (see
+_EllOfDK), and p divides neither ell(k), which the test rules out, nor
+the z(q) of the admitted primes q <= hi, which the test keeps prime to p.
+p divides neither j nor k, so p || dk.
 Every summand is a node (n, P, C) for n/(P*C): the terms d = jp of a
 grouped p add up to one node, with P = p, which enters no gcd (see
 _exact_sum), or with P = 1 when p cancels from their sum, since C, the lcm
@@ -41,7 +41,7 @@ from fractions import Fraction
 from . import arith, rank as rank_mod
 from .arith import OutOfRangeError
 from .fib import LucasParams
-from .rank import RankCache, RankRecord, _cache_for
+from .rank import RankCache, _cache_for
 
 # the sieve behind a depth-D series holds two 4D-entry lists (about 75 MB
 # at D = 10^6), and a generator bound B costs one sieve entry and one rank
@@ -200,14 +200,14 @@ class _EllOfDK:
     For every m coprime to a2, ell(m) = lcm(m, z(p) for each prime p | m):
     z(p^e) divides p^(e-1) z(p) (Lucas's law of repetition), and p^2 never
     divides z(p), which divides p - (disc/p), is p for an odd p | disc and
-    is 2 or 3 for p = 2.  z(q) divides z(k) for each prime q of k, so
-    ell(dk) = lcm(dk, z(k), z(p) for each prime p of d), squarefree d or
-    not, and a window reads only k's record and prime ranks.  An ell(dk)
-    past 64 bits raises OutOfRangeError in checked_lcm, as rank._rank_with
-    raises for dk.
+    is 2 or 3 for p = 2.  k divides dk, so lcm(dk, z(k)) = lcm(dk, ell(k)),
+    and ell(dk) = lcm(dk, ell(k), z(p) for each prime p of d), squarefree d
+    or not: a window reads only ell(k) and prime ranks.  An ell(dk) past 64
+    bits raises OutOfRangeError in checked_lcm, as rank._rank_with raises
+    for dk.
     """
 
-    __slots__ = ("avoid", "ell_k", "k", "mu", "prime_rank", "spf", "z_k")
+    __slots__ = ("avoid", "ell_k", "k", "mu", "prime_rank", "spf")
 
     def __init__(self, cache: RankCache, k: int, depth: int, hi: int, coprime_to_k: bool, threads: int):
         if k < 1:
@@ -216,10 +216,10 @@ class _EllOfDK:
             raise ValueError(f"need depth >= 1, got {depth}")
         if depth > SERIES_DEPTH_CAP:
             raise OutOfRangeError(f"series depth {depth} above cap {SERIES_DEPTH_CAP}")
-        rec = rank_mod._rank_with(cache, k)  # an undefined z(k) or overflowing ell(k) fails before the sieve
+        # an undefined z(k) or overflowing ell(k) fails before the sieve
+        self.k, self.ell_k = k, rank_mod._rank_with(cache, k).ell
         _check_threads(threads)
-        self.k, self.z_k, self.ell_k = k, rec.z, rec.ell
-        self.prime_rank = cache._prime_rank
+        self.prime_rank = functools.partial(cache._prime_rank, cache)
         # gcd(d, ab) = 1 iff gcd(d, a) = gcd(d, b) = 1, so one gcd skips the d sharing a
         # factor with a2 and, for the B_k series, with k
         self.avoid = abs(cache.seq.a2) * (k if coprime_to_k else 1)
@@ -227,7 +227,7 @@ class _EllOfDK:
 
     def __call__(self, d: int) -> int:
         lcm = math.lcm
-        z = self.z_k
+        z = self.ell_k
         n = d
         while n > 1:
             p = self.spf[n]
@@ -355,28 +355,30 @@ def lk_generators(k: int, p_bound: int, cache: RankCache | None = None) -> Gener
     if p_bound > GENERATOR_BOUND_CAP:
         raise OutOfRangeError(f"prime bound {p_bound} above cap {GENERATOR_BOUND_CAP}")
     cache = _cache_for(None, cache)
-    if not is_member(k, cache).member:
+    verdict = is_member(k, cache)
+    if not verdict.member:
         raise NonMemberError(f"A_{k} is empty; L_{k} is defined only for members")
-    return _generators(cache, rank_mod._rank_with(cache, k), arith.primes_upto(p_bound), p_bound)
+    return _generators(cache, verdict, arith.primes_upto(p_bound), p_bound)
 
 
-def _generators(cache: RankCache, rec: RankRecord, primes: list[int], bound: int) -> GeneratorSet:
-    """L_k for the member k = rec.m: its primes plus the ratio ell(kp)/ell(k)
-    for each p in the sorted list primes that divides neither k nor a2.
+def _generators(cache: RankCache, verdict: MembershipVerdict, primes: list[int], bound: int) -> GeneratorSet:
+    """L_k for the member k of verdict: its primes plus the ratio
+    ell(kp)/ell(k) for each p in the sorted list primes that divides
+    neither k nor a2.
 
-    z is multiplicative over coprime parts, so ell(kp) = lcm(kp, z(k), z(p))
-    comes from k's record and the prime rank z(p): kp is never factored and
-    gets no record of its own.
+    z is multiplicative over coprime parts and k divides kp, so
+    ell(kp) = lcm(kp, ell(k), z(p)) comes from the verdict's ell(k) and the
+    prime rank z(p): kp is never factored and gets no record of its own.
     """
-    k = rec.m
+    k, ell_k = verdict.k, verdict.ell_k
     a2 = cache.seq.a2
     prime_part = tuple(pp.p for pp in arith.factor(k).factors)
     ratios = []
     for p in primes:
         if k % p == 0 or math.gcd(p, a2) != 1:
             continue
-        ell_kp = arith.checked_lcm(k * p, math.lcm(rec.z, cache._prime_rank(p)))
-        ratio, rem = divmod(ell_kp, rec.ell)
+        ell_kp = arith.checked_lcm(k * p, math.lcm(ell_k, cache._prime_rank(cache, p)))
+        ratio, rem = divmod(ell_kp, ell_k)
         if rem:
             raise RuntimeError(f"ell({k}*{p}) not divisible by ell({k}); this indicates a bug")
         ratios.append((p, ratio))

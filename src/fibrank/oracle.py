@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from . import arith, rank as rank_mod
+from . import arith
 from .arith import OutOfRangeError
 from .density import GeneratorSet, NonMemberError, _check_threads, _EllOfDK, _exact_sum, _generators, _verdict, is_member
 from .fib import FIBONACCI, LucasParams, gcd_n_fib, gcd_n_lucas
@@ -277,21 +277,22 @@ def verify_structure(k: int, x: int, cache: RankCache | None = None) -> bool:
     L_k built as lk_generators builds it and A_k(x) enumerated directly.
 
     Only generators <= cap = x // ell(k) can exclude some m <= cap.  For a
-    prime p dividing neither k nor z(k), p divides ell(kp)/ell(k), so that
-    ratio is >= p: the primes p <= cap plus the primes of z(k) cover every
-    generator <= cap.
+    prime p not dividing ell(k), p divides ell(kp)/ell(k), so that ratio is
+    >= p: the primes p <= cap plus the primes of ell(k) cover every
+    generator <= cap.  The primes of k among them are generators
+    themselves, not ratios.
     """
     if not 1 <= x <= STRUCTURE_CAP:
         raise OutOfRangeError(f"structure scan limit {x} outside [1, {STRUCTURE_CAP}]")
     cache = _cache_for(None, cache)
-    if not is_member(k, cache).member:
+    verdict = is_member(k, cache)
+    if not verdict.member:
         raise NonMemberError(f"A_{k} is empty; the structural decomposition needs a member")
-    rec = rank_mod._rank_with(cache, k)
-    cap = x // rec.ell
-    z_primes = (pp.p for pp in arith.factor(rec.z).factors)
-    gens = _generators(cache, rec, sorted(set(arith.primes_upto(cap)).union(z_primes)), cap)
+    cap = x // verdict.ell_k
+    ell_primes = (pp.p for pp in arith.factor(verdict.ell_k).factors)
+    gens = _generators(cache, verdict, sorted(set(arith.primes_upto(cap)).union(ell_primes)), cap)
     allowed = _nonmultiples(gens.elements(), cap)
-    structural = [rec.ell * m for m in range(1, cap + 1) if allowed[m]]
+    structural = [verdict.ell_k * m for m in range(1, cap + 1) if allowed[m]]
     return structural == list(iter_Ak(k, x, seq=cache.seq))
 
 
@@ -359,7 +360,7 @@ def scan_low_rank_primes(
     low = [
         p
         for p in arith.primes_upto(checkpoints[-1])
-        if math.gcd(p, a2) == 1 and _at_most_power(cache._prime_rank(p), q, p, a)
+        if math.gcd(p, a2) == 1 and _at_most_power(cache._prime_rank(cache, p), q, p, a)
     ]
     return _rows(low, checkpoints, 2 * float(gamma))
 

@@ -50,9 +50,11 @@ class RankCache:
     The cache also fixes which prime-rank algorithm its users run: the
     Fibonacci-specific one, or the generalized Lucas one (which is also
     valid at (a1, a2) = (1, 1) and can be forced there to cross-check the
-    generalization against the specialized path).  _prime_rank(p) and
-    pair_mod(n, m) are both bound when the cache is built, not at import
-    time, from the module functions of that moment.
+    generalization against the specialized path).  _prime_rank(cache, p)
+    and pair_mod(n, m) are both chosen when the cache is built, not at
+    import time, from the module functions of that moment.  _prime_rank
+    takes the cache at call time, so nothing a cache holds refers back to
+    it, and reference counting frees a dropped cache.
     """
 
     def __init__(self, seq: LucasParams = FIBONACCI, *, lucas_algorithms: bool | None = None):
@@ -63,10 +65,10 @@ class RankCache:
             raise ValueError("the Fibonacci-specific algorithms only apply to (a1, a2) = (1, 1)")
         if lucas_algorithms:
             self.pair_mod = functools.partial(lucas_pair_mod, seq)
-            self._prime_rank = functools.partial(_prime_rank_lucas, self)
+            self._prime_rank = _prime_rank_lucas
         else:
             self.pair_mod = fib_pair_mod
-            self._prime_rank = functools.partial(_prime_rank_fib, self)
+            self._prime_rank = _prime_rank_fib
         self._prime_z: dict[int, int] = {}  # z(q) for primes and prime powers q
 
     def clear(self):
@@ -192,7 +194,7 @@ def _prime_power_rank(cache: RankCache, p: int, e: int) -> int:
     kept in the prime-rank table under the key p^i, which no prime equals."""
     if e >= 64 or p**e > arith.U64_MAX:  # p >= 2, so p^64 > 2^64 - 1
         raise OutOfRangeError(f"{p}^{e} out of supported range [1, 2^64 - 1]")
-    z = cache._prime_rank(p)
+    z = cache._prime_rank(cache, p)
     for i in range(2, e + 1):
         q = p**i
         if q not in cache._prime_z:

@@ -31,6 +31,7 @@ from fibrank import (
     lucas_is_member,
     lucas_rank,
     rank,
+    verify_structure,
 )
 from fibrank import arith
 from fibrank.density import J, MembershipVerdict, _EllOfDK, _exact_sum, _terms
@@ -443,7 +444,9 @@ class TestGenerators:
             assert [(p, _rank_with(ref, k * p).ell // ell_k) for p, _ in g.ratio_part] == list(g.ratio_part), k
 
     def test_no_record_per_prime(self, monkeypatch):
-        # ell(kp) comes from z(k) and z(p); k*p is neither factored nor ranked
+        # ell(kp) comes from ell(k) and z(p); k*p is neither factored nor
+        # ranked, and k is ranked once, by is_member, in L_k and in the
+        # structure check built on it
         asked = []
         rank_mod = sys.modules["fibrank.rank"]
         real = rank_mod._rank_with
@@ -455,7 +458,10 @@ class TestGenerators:
         monkeypatch.setattr(rank_mod, "_rank_with", recording)
         g = lk_generators(2, 1000, RankCache())
         assert len(g.ratio_part) == 167
-        assert set(asked) == {2}
+        assert asked == [2]
+        asked.clear()
+        assert verify_structure(2, 3000, RankCache())
+        assert asked == [2]
 
     def test_ell_kp_past_64_bits(self):
         # k = 5^27 is a member with ell(k) = k; ell(2k) = 6 * 5^27 > 2^64

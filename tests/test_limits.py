@@ -350,9 +350,11 @@ def test_private_prime_rank_of_a_divisor_of_a2_fails_loudly():
     x^2 - x - 6 is 0 mod 3, so the root ratio of the pow lift does not exist:
     the same check rejects it, not a failed modular inverse."""
     with pytest.raises(RuntimeError, match="2 does not divide u_6; this indicates a bug"):
-        RankCache(LucasParams(1, 2))._prime_rank(2)
+        cache = RankCache(LucasParams(1, 2))
+        cache._prime_rank(cache, 2)
     with pytest.raises(RuntimeError, match="3 does not divide u_2; this indicates a bug"):
-        RankCache(LucasParams(1, 6))._prime_rank(3)
+        cache = RankCache(LucasParams(1, 6))
+        cache._prime_rank(cache, 3)
 
 
 def _cpus(monkeypatch, n):

@@ -134,9 +134,9 @@ class TestVerifyStructure:
         prime_rank = cache._prime_rank
         ranked = []
 
-        def recording(p):
+        def recording(cache, p):
             ranked.append(p)
-            return prime_rank(p)
+            return prime_rank(cache, p)
 
         monkeypatch.setattr(cache, "_prime_rank", recording)
         assert verify_structure(2, 3000, cache)

@@ -2,11 +2,13 @@
 multiplicative fast path; here it is grounded against exact Fibonacci
 divisibility first, then everything else is measured against it."""
 
+import gc
 import json
 import math
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from fibrank import (
     LucasParams,
     OutOfRangeError,
     RankUndefinedError,
+    density_series,
     ell_of,
     factor,
     fib_exact,
@@ -171,9 +174,9 @@ class TestSplitPrimeLift:
         for p in primes_upto(10**5):
             if a2 % p == 0:
                 continue
-            assert cache._prime_rank(p) == self.ladder_rank(seq, p), p
+            assert cache._prime_rank(cache, p) == self.ladder_rank(seq, p), p
             if p > 2 and jacobi(seq.discriminant, p) == 1:
-                assert _split_order(p, a1, seq.discriminant) == cache._prime_rank(p), p
+                assert _split_order(p, a1, seq.discriminant) == cache._prime_rank(cache, p), p
                 split += 1
         assert split > 4000
 
@@ -355,6 +358,23 @@ class TestRankCacheClear:
         cache.clear()
         assert not cache._prime_z
         assert [lucas_rank(seq, m, cache) for m in ms] == before
+
+
+class TestRankCacheFreed:
+    @pytest.mark.parametrize("lucas_algorithms", [False, True], ids=["fibonacci", "lucas"])
+    def test_dropped_cache_is_freed_without_the_cycle_collector(self, lucas_algorithms):
+        # the prime-rank function takes the cache at call time, so nothing a
+        # cache holds refers back to it, and reference counting frees it
+        cache = RankCache(lucas_algorithms=lucas_algorithms)
+        assert rank(60, cache).ell == 60
+        density_series(1, 200, cache)
+        ref = weakref.ref(cache)
+        gc.disable()
+        try:
+            del cache
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestTracerView:
