@@ -161,15 +161,17 @@ def _pollard_brent(n):
             return g
 
 
-def factor(n: int) -> Factorization:
-    """Complete prime factorization of 1 <= n <= 2^64 - 1.
+def _factor_items(n: int) -> list[tuple[int, int]]:
+    """The prime factorization of 1 <= n <= 2^64 - 1 as sorted (p, e) pairs.
 
     Trial division below 1000, in blocks of 12 primes whose gcd with what is
     left names the primes to divide out (none, for most blocks), then
     deterministic Miller-Rabin plus Brent-cycle Pollard rho on whatever
     remains.  Each value on the stack divides that remainder, which has no
     prime factor below 1000, so a composite one is at least 1009^2 and one
-    below 1000^2 is prime without a test.
+    below 1000^2 is prime without a test.  The pairs must multiply back to
+    n, else ValueError: the check Factorization makes, kept on the path
+    that builds none.
     """
     _check_u64(n)
     counts: dict[int, int] = {}
@@ -196,7 +198,16 @@ def factor(n: int) -> Factorization:
             d = _pollard_brent(v)
             stack.append(d)
             stack.append(v // d)
-    return Factorization(n, tuple(itertools.starmap(PrimePower, sorted(counts.items()))))
+    items = sorted(counts.items())
+    if math.prod(itertools.starmap(pow, items)) != n:
+        raise ValueError(f"factors {items} do not multiply to {n}")
+    return items
+
+
+def factor(n: int) -> Factorization:
+    """Complete prime factorization of 1 <= n <= 2^64 - 1: the validated
+    wrapper of _factor_items."""
+    return Factorization(n, tuple(itertools.starmap(PrimePower, _factor_items(n))))
 
 
 def mobius(f: Factorization) -> int:

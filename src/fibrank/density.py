@@ -337,8 +337,8 @@ def inclusion_exclusion_check(
     lhs = _exact_sum(_terms(_EllOfDK(cache, k, depth, depth, False, threads), 0, depth, True))
     rhs = Fraction(0)
     squarefree = [(1, 1)]
-    for pp in arith.factor(k).factors:
-        squarefree += [(d * pp.p, -md) for d, md in squarefree]
+    for p, _ in arith._factor_items(k):
+        squarefree += [(d * p, -md) for d, md in squarefree]
     for d, md in squarefree:
         if inner := depth // d:
             rhs += md * _exact_sum(_terms(_EllOfDK(cache, d * k, inner, inner, True, threads), 0, inner, True))
@@ -372,7 +372,7 @@ def _generators(cache: RankCache, verdict: MembershipVerdict, primes: list[int],
     """
     k, ell_k = verdict.k, verdict.ell_k
     a2 = cache.seq.a2
-    prime_part = tuple(pp.p for pp in arith.factor(k).factors)
+    prime_part = tuple(p for p, _ in arith._factor_items(k))
     ratios = []
     for p in primes:
         if k % p == 0 or math.gcd(p, a2) != 1:

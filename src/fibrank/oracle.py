@@ -289,7 +289,7 @@ def verify_structure(k: int, x: int, cache: RankCache | None = None) -> bool:
     if not verdict.member:
         raise NonMemberError(f"A_{k} is empty; the structural decomposition needs a member")
     cap = x // verdict.ell_k
-    ell_primes = (pp.p for pp in arith.factor(verdict.ell_k).factors)
+    ell_primes = (p for p, _ in arith._factor_items(verdict.ell_k))
     gens = _generators(cache, verdict, sorted(set(arith.primes_upto(cap)).union(ell_primes)), cap)
     allowed = _nonmultiples(gens.elements(), cap)
     structural = [verdict.ell_k * m for m in range(1, cap + 1) if allowed[m]]

@@ -136,11 +136,11 @@ def _lift(p: int, e: int, divides) -> int:
     if not divides(e):
         raise RuntimeError(f"{p} does not divide u_{e}; this indicates a bug")
     z = e
-    for pp in arith.factor(e).factors:
-        for _ in range(pp.e):
-            if not divides(z // pp.p):
+    for q, a in arith._factor_items(e):
+        for _ in range(a):
+            if not divides(z // q):
                 break
-            z //= pp.p
+            z //= q
     return z
 
 
@@ -213,8 +213,8 @@ def _rank_with(cache: RankCache, m: int) -> RankRecord:
         raise RankUndefinedError(f"z_u({m}) undefined: gcd({m}, a2 = {a2}) > 1")
     arith._check_u64(m, "m")
     z = 1
-    for pp in arith.factor(m).factors:
-        z = checked_lcm(z, _prime_power_rank(cache, pp.p, pp.e))
+    for p, e in arith._factor_items(m):
+        z = checked_lcm(z, _prime_power_rank(cache, p, e))
     return RankRecord(m, z, checked_lcm(m, z))
 
 

@@ -3,6 +3,7 @@ independent brute-force oracle (trial division, quadratic-residue search,
 divisor scan) before being asserted against the library."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -258,6 +259,53 @@ class TestFactorOnePath:
             tested.clear()
             assert as_pairs(factor(n)) == pairs, n
             assert tested == calls, n
+
+
+class TestFactorItems:
+    """The private path _factor_items, which the rank engine calls, gives
+    the pairs of the public factor, as plain int tuples, and keeps the
+    product check that Factorization makes."""
+
+    HARD = (
+        U64_MAX,
+        (10**9 + 7) * (10**9 + 9),
+        (10**9 + 7) ** 2,
+        *TestPollardBrentBacktrack.SEMIPRIMES,
+        2**30 * 1000003,
+        (2**32 - 5) * (2**32 - 17),  # two 32-bit primes: Pollard-Brent's hardest 64-bit case
+    )
+
+    @staticmethod
+    def check(n):
+        items = arith._factor_items(n)
+        assert items == as_pairs(factor(n)), n
+        assert all(type(item) is tuple and [type(x) for x in item] == [int, int] for item in items), n
+
+    def test_every_n_below_1e4(self):
+        for n in range(1, 10_000):
+            self.check(n)
+
+    def test_random_n_at_every_bit_length(self):
+        rng = random.Random(1)
+        for bits in range(1, 65):
+            for _ in range(300):
+                self.check(rng.getrandbits(bits) | 1 << (bits - 1))
+
+    @pytest.mark.parametrize("n", HARD)
+    def test_hard_cases(self, n):
+        self.check(n)
+
+    def test_rejects_out_of_range(self):
+        for n in (0, U64_MAX + 1):
+            with pytest.raises(OutOfRangeError):
+                arith._factor_items(n)
+
+    def test_wrong_rho_factor_fails_the_product_check(self, monkeypatch):
+        # 1009 * 1049 leaves its cofactor to Pollard-Brent; 1013 does not
+        # divide it, so the pairs (1013, 1), (1044, 1) miss n
+        monkeypatch.setattr(arith, "_pollard_brent", lambda n: 1013)
+        with pytest.raises(ValueError, match="do not multiply to 1058441"):
+            arith._factor_items(1009 * 1049)
 
 
 class TestMobius:

@@ -133,6 +133,9 @@ class TestCaps:
 
 
 P64 = 18446744073709551557  # the largest prime below 2^64
+# two 32-bit primes: Pollard-Brent's hardest 64-bit input; ell exceeds 64 bits
+# only once the number is factored
+P32_SEMIPRIME = (2**32 - 5) * (2**32 - 17)
 
 
 def main_within(argv, seconds):
@@ -161,8 +164,10 @@ class TestSixtyFourBitInputs:
             ["member", str(P64)],
             ["density", str(P64), "--depth", "10"],
             ["ell", str(2**64 - 1)],
+            ["rank", str(P32_SEMIPRIME)],
+            ["member", str(P32_SEMIPRIME)],
         ],
-        ids=["rank", "member", "density", "ell"],
+        ids=["rank", "member", "density", "ell", "rank-p32-semiprime", "member-p32-semiprime"],
     )
     def test_out_of_range(self, argv, capsys):
         assert main_within(argv, 1.0) == 4

@@ -471,6 +471,7 @@ class TestFormulaFree:
         ("fibrank.rank", "_prime_power_rank"),
         ("fibrank.density", "_exact_sum"),
         ("fibrank.arith", "factor"),
+        ("fibrank.arith", "_factor_items"),
         ("fibrank.arith", "mobius_spf_sieve"),
     ]
 
