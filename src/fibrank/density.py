@@ -8,6 +8,11 @@ equality.  The reported tail window sum_{D < d <= 4D, d squarefree}
 The same window, taken for k = 1, gives ell(n) for every n of a range to
 the scans oracle.partial_ell_sum and oracle.scan_B.
 
+A window ranks its primes in one pass when it is built: every prime
+p <= hi prime to the modulus it avoids, which is every prime its d can
+have, with e = p - (disc/p) factored off the window's own sieve (see
+_EllOfDK).  Reading ell(dk) is then table lookups and lcms.
+
 Each window of admitted squarefree d <= hi (hi = D for the partial sum, 4D
 for the tail) is summed exactly, and only the total becomes a Fraction.
 Most of the denominator's bits are large primes that divide few terms, so
@@ -28,11 +33,15 @@ Every summand is a node (n, P, C) for n/(P*C): the terms d = jp of a
 grouped p add up to one node, with P = p, which enters no gcd (see
 _exact_sum), or with P = 1 when p cancels from their sum, since C, the lcm
 of the ell(dk)/p, is prime to every grouped prime.  Every other term is
-the node (mu(d), 1, ell(dk)).  The nodes are added over the lcm of their C
-and merged pairwise (see _fold); the total is reduced once.
+the node (mu(d), 1, ell(dk)).  The nodes are added RUN at a time over the
+lcm of their C (see _run), and the sums merge pairwise (see _fold); the
+total is reduced once.  Every merge keeps the lcm of the C and the product
+of the P, so the unreduced total is the same node whichever way the nodes
+are grouped.
 """
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -52,6 +61,12 @@ GENERATOR_BOUND_CAP = 10**6
 # a series window d <= hi groups the primes above max(hi // J, J); each of
 # them divides fewer than J of the d
 J = 16
+
+# _exact_sum adds the nodes RUN at a time over one lcm before the pairwise
+# merges: the 47,965-node tail of density 5 at depth 3*10^4 took 0.34 s in
+# runs of 1, 0.15 to 0.18 s in runs of 8, 16 or 32, and 0.17 to 0.21 s in
+# runs of 64 (best of 5, twice, on a shared 2-CPU host, CPython 3.11)
+RUN = 16
 
 
 class NonMemberError(ValueError):
@@ -149,11 +164,28 @@ def _add_nodes(a, b):
     P*P' and lcm(C, C'), and is not reduced; _exact_sum reduces its total
     once.  The lcm exceeds the reduced denominator only by what the
     reduction cancels: at depth 3*10^4 that was under 0.1% of a tail's bits
-    and 4-11% of a partial sum's, less than the gcds it saves."""
+    and 4-11% of a partial sum's, less than the gcds it saves.  The nodes
+    of a sum reach it already added RUN at a time (see _run)."""
     na, pa, ca = a
     nb, pb, cb = b
     g = math.gcd(ca, cb)
     return na * pb * (cb // g) + nb * pa * (ca // g), pa * pb, ca // g * cb
+
+
+def _run(nodes):
+    """The sum of a list of nodes (n, P, c) as one node over the product of
+    the P and C = lcm(c): the node that merging them pairwise by _add_nodes
+    ends at, from one lcm and one sum of products instead of a gcd per
+    merge.  As in _add_nodes, only the c enter the lcm."""
+    c = math.lcm(*[node[2] for node in nodes])
+    p = math.prod([node[1] for node in nodes])
+    return sum([n * (p // pi) * (c // ci) for n, pi, ci in nodes]), p, c
+
+
+def _runs(nodes):
+    """The nodes summed RUN at a time, in the order they come, by _run."""
+    nodes = iter(nodes)
+    return map(_run, iter(lambda: list(itertools.islice(nodes, RUN)), []))
 
 
 # The reduced total is in lowest terms, and Fraction(n, d) would spend one
@@ -172,11 +204,13 @@ def _exact_sum(items) -> Fraction:
     grouped prime (see the module docstring).
 
     The nodes are consumed as they come, and no Fraction is built per node.
-    They fold pairwise (see _fold), and no P ever enters a gcd: each merge
-    takes the gcd of the C, and the one reduction of the total takes
-    gcd(n, C).
+    They are added RUN at a time (see _runs), and the sums fold pairwise
+    (see _fold).  No P ever enters a gcd or an lcm: each run and each merge
+    takes those of the C, and the one reduction of the total takes
+    gcd(n, C).  Each keeps the lcm of the C and the product of the P, so
+    the runs change no byte of the total node.
     """
-    n, p, c = _fold(_add_nodes, items, (0, 1, 1))
+    n, p, c = _fold(_add_nodes, _runs(items), (0, 1, 1))
     g = math.gcd(n, c)
     return _coprime_fraction(n // g, p * (c // g))
 
@@ -193,9 +227,17 @@ def _check_threads(threads: int):
 class _EllOfDK:
     """One window of a depth-`depth` series for k: the Mobius sieve to hi,
     the largest d its sums read; avoid, the modulus every summed d must be
-    coprime to (a2, times k for the B_k series); ell(k); and, when called,
-    ell(dk) for a d <= hi coprime to a2.  The series is validated before
-    the sieve is built.
+    coprime to (a2, times k for the B_k series); ell(k); prime_z, the prime
+    ranks of the cache; and, when called, ell(dk) for a d <= hi coprime to
+    avoid.  The series is validated before the sieve is built.
+
+    Once the sieve is built, every prime p <= hi prime to avoid that the
+    cache has not ranked is ranked, in increasing order: these are the
+    primes of the d a window admits, and no other.  The lift of each z(p)
+    factors its e = p - (disc/p) by walking down spf (_factor).  Only an e
+    past the sieve goes to arith._factor_items: p + 1 for an inert prime
+    p = hi, or 6 for p = 2 of a Lucas sequence when hi < 6.  Factorization
+    is unique, so each z(p) is the one the default path finds.
 
     For every m coprime to a2, ell(m) = lcm(m, z(p) for each prime p | m):
     z(p^e) divides p^(e-1) z(p) (Lucas's law of repetition), and p^2 never
@@ -207,7 +249,7 @@ class _EllOfDK:
     for dk.
     """
 
-    __slots__ = ("avoid", "ell_k", "k", "mu", "prime_rank", "spf")
+    __slots__ = ("avoid", "ell_k", "k", "mu", "prime_z", "spf")
 
     def __init__(self, cache: RankCache, k: int, depth: int, hi: int, coprime_to_k: bool, threads: int):
         if k < 1:
@@ -219,11 +261,26 @@ class _EllOfDK:
         # an undefined z(k) or overflowing ell(k) fails before the sieve
         self.k, self.ell_k = k, rank_mod._rank_with(cache, k).ell
         _check_threads(threads)
-        self.prime_rank = functools.partial(cache._prime_rank, cache)
         # gcd(d, ab) = 1 iff gcd(d, a) = gcd(d, b) = 1, so one gcd skips the d sharing a
         # factor with a2 and, for the B_k series, with k
-        self.avoid = abs(cache.seq.a2) * (k if coprime_to_k else 1)
+        self.avoid = avoid = abs(cache.seq.a2) * (k if coprime_to_k else 1)
         self.mu, self.spf = arith.mobius_spf_sieve(hi)
+        self.prime_z = cache._prime_z
+        for p in range(2, hi + 1):
+            if self.spf[p] == p and avoid % p and p not in self.prime_z:
+                cache._prime_rank(cache, p, factor=self._factor)
+
+    def _factor(self, n: int) -> list[tuple[int, int]]:
+        """The sorted (q, a) pairs of n >= 1, off spf where it reaches n:
+        the walk n -> n // spf[n] meets the primes of n in increasing order."""
+        if n >= len(self.spf):
+            return arith._factor_items(n)
+        counts: dict[int, int] = {}
+        while n > 1:
+            q = self.spf[n]
+            counts[q] = counts.get(q, 0) + 1
+            n //= q
+        return list(counts.items())
 
     def __call__(self, d: int) -> int:
         lcm = math.lcm
@@ -232,7 +289,7 @@ class _EllOfDK:
         while n > 1:
             p = self.spf[n]
             n //= p
-            z = lcm(z, self.prime_rank(p))
+            z = lcm(z, self.prime_z[p])
         return arith.checked_lcm(d * self.k, z)
 
 
@@ -241,11 +298,12 @@ def _terms(window: _EllOfDK, lo: int, hi: int, signed: bool):
     1/ell(dk) if not signed, over the admitted d with lo < d <= hi.
 
     The terms d = jp of each grouped prime p (see the module docstring)
-    come first, in increasing p, as one node, or none when they sum to 0.
-    Then come the plain terms (sign, 1, ell(dk)) of the other d, in
-    increasing order.
+    come first, in increasing p, as one node summed by _run, or none when
+    they sum to 0.  Then come the plain terms (sign, 1, ell(dk)) of the
+    other d, in increasing order.  The local test reads z(q) off the
+    window's table, which holds every admitted prime q <= hi.
     """
-    mu, spf, avoid, ell_k, prime_rank = window.mu, window.spf, window.avoid, window.ell_k, window.prime_rank
+    mu, spf, avoid, ell_k, prime_z = window.mu, window.spf, window.avoid, window.ell_k, window.prime_z
     gcd = math.gcd
     skip = bytearray(hi + 1)
     for p in range(max(hi // J, J) + 1, hi + 1):
@@ -253,13 +311,12 @@ def _terms(window: _EllOfDK, lo: int, hi: int, signed: bool):
             continue
         # the candidates q = p and q = jp +- 1, j even, of the local test
         for q in (p, *range(2 * p - 1, hi + 1, 2 * p), *range(2 * p + 1, hi + 1, 2 * p)):
-            if spf[q] == q and avoid % q and prime_rank(q) % p == 0:
+            if spf[q] == q and avoid % q and prime_z[q] % p == 0:
                 break
         else:
             multiples = range((lo // p + 1) * p, hi + 1, p)
             skip[multiples.start :: p] = b"\1" * len(multiples)
-            group = ((mu[d] if signed else 1, 1, window(d) // p) for d in multiples if mu[d] and gcd(d, avoid) == 1)
-            n, _, c = functools.reduce(_add_nodes, group, (0, 1, 1))
+            n, _, c = _run([(mu[d] if signed else 1, 1, window(d) // p) for d in multiples if mu[d] and gcd(d, avoid) == 1])
             if n % p:
                 yield n, p, c
             elif n:  # p cancels from the group's sum

@@ -106,13 +106,13 @@ def _scan_rank(seq: LucasParams, m: int, cap: int) -> int:
     raise RuntimeError(f"no rank of {m} within {cap} steps; this indicates a bug")
 
 
-def _lift_order(pair_mod, p: int, e: int) -> int:
+def _lift_order(pair_mod, p: int, e: int, factor=None) -> int:
     """z(p) from a multiple e of it: the least z with p | u_z.
     pair_mod(n, m) gives (u_n mod m, u_{n+1} mod m)."""
-    return _lift(p, e, lambda n: pair_mod(n, p)[0] == 0)
+    return _lift(p, e, lambda n: pair_mod(n, p)[0] == 0, factor)
 
 
-def _split_order(p: int, a1: int, disc: int) -> int:
+def _split_order(p: int, a1: int, disc: int, factor=None) -> int:
     """z(p) for an odd prime p with (disc/p) = 1 and p not dividing a2.
 
     The roots alpha, beta = (a1 +- s)/2 of x^2 - a1 x - a2, with s^2 = disc,
@@ -123,12 +123,13 @@ def _split_order(p: int, a1: int, disc: int) -> int:
     """
     s = arith.sqrt_mod(disc, p)
     r = (a1 + s) * pow(a1 - s, -1, p) % p if (a1 - s) % p else 0
-    return _lift(p, p - 1, lambda n: pow(r, n, p) == 1)
+    return _lift(p, p - 1, lambda n: pow(r, n, p) == 1, factor)
 
 
-def _lift(p: int, e: int, divides) -> int:
+def _lift(p: int, e: int, divides, factor=None) -> int:
     """The least z with p | u_z, from a multiple e of it; divides(n) tells
-    whether p | u_n.
+    whether p | u_n, and factor(e), arith._factor_items by default, gives
+    the sorted (q, a) pairs of e.
 
     The n with p | u_n are the multiples of z(p), so for each prime power
     q^a of e, q is divided out of z = e while p divides u_{z/q}.
@@ -136,7 +137,7 @@ def _lift(p: int, e: int, divides) -> int:
     if not divides(e):
         raise RuntimeError(f"{p} does not divide u_{e}; this indicates a bug")
     z = e
-    for q, a in arith._factor_items(e):
+    for q, a in (factor or arith._factor_items)(e):
         for _ in range(a):
             if not divides(z // q):
                 break
@@ -144,20 +145,21 @@ def _lift(p: int, e: int, divides) -> int:
     return z
 
 
-def _prime_rank_fib(cache: RankCache, p: int) -> int:
+def _prime_rank_fib(cache: RankCache, p: int, *, factor=None) -> int:
     """z(p): the order lifted from e = p - (p/5), which z(p) divides;
     (2/5) = -1 gives e = 3 and (5/5) = 0 gives e = 5.  A split prime,
-    (p/5) = 1, tests each step by a pow in F_p (_split_order)."""
+    (p/5) = 1, tests each step by a pow in F_p (_split_order).  factor
+    factors e for the lift (see _lift)."""
     z = cache._prime_z.get(p)
     if z is not None:
         return z
     j = arith.jacobi(p, 5)
-    z = _split_order(p, 1, 5) if j == 1 else _lift_order(fib_pair_mod, p, p - j)
+    z = _split_order(p, 1, 5, factor) if j == 1 else _lift_order(fib_pair_mod, p, p - j, factor)
     cache._prime_z[p] = z
     return z
 
 
-def _prime_rank_lucas(cache: RankCache, p: int) -> int:
+def _prime_rank_lucas(cache: RankCache, p: int, *, factor=None) -> int:
     """z_u(p) for any nondegenerate parameters: the order lifted from a
     multiple e of z_u(p).
 
@@ -165,12 +167,12 @@ def _prime_rank_lucas(cache: RankCache, p: int) -> int:
     u_n = n (a1/2)^(n-1) (mod p) and p does not divide a1.  A split prime,
     (disc/p) = 1, tests each step by a pow in F_p (_split_order).  p = 2:
     e = 6, since a2 is odd and so u_3 = a1^2 + a2 is even when u_2 = a1 is
-    not.
+    not.  factor factors e for the lift (see _lift).
 
     p must not divide a2, and every caller makes sure of it: _rank_with
-    raises RankUndefinedError first, _EllOfDK and _terms skip every d and q
-    sharing a factor with avoid, _generators and scan_low_rank_primes skip
-    p | a2, and rank_prime and rank_prime_power take Fibonacci caches only.
+    raises RankUndefinedError first, _EllOfDK ranks only the primes prime
+    to avoid, _generators and scan_low_rank_primes skip p | a2, and
+    rank_prime and rank_prime_power take Fibonacci caches only.
     For p | a2, u_n = a1^(n-1) (mod p) is never 0, as a1 and a2 are
     coprime, so the check in _lift raises RuntimeError.
     """
@@ -179,11 +181,11 @@ def _prime_rank_lucas(cache: RankCache, p: int) -> int:
         return z
     seq = cache.seq
     if p == 2:
-        z = _lift_order(cache.pair_mod, 2, 6)
+        z = _lift_order(cache.pair_mod, 2, 6, factor)
     elif (j := arith.jacobi(seq.discriminant, p)) == 1:
-        z = _split_order(p, seq.a1, seq.discriminant)
+        z = _split_order(p, seq.a1, seq.discriminant, factor)
     else:
-        z = _lift_order(cache.pair_mod, p, p - j)
+        z = _lift_order(cache.pair_mod, p, p - j, factor)
     cache._prime_z[p] = z
     return z
 

@@ -5,6 +5,8 @@ enumeration of gcd(n, F_n), and series values at tiny depths are frozen
 from hand-checkable ell values (ell(2) = 6, ell(3) = 12, ell(5) = 5, ...).
 """
 
+import functools
+import importlib
 import math
 import random
 import sys
@@ -34,8 +36,11 @@ from fibrank import (
     verify_structure,
 )
 from fibrank import arith
-from fibrank.density import J, MembershipVerdict, _EllOfDK, _exact_sum, _terms
+from fibrank.density import J, MembershipVerdict, _add_nodes, _EllOfDK, _exact_sum, _fold, _runs, _terms
 from fibrank.rank import RankCache, _rank_with, default_cache
+
+# fibrank.rank as an attribute is the rank() function, not the module
+rank_module = importlib.import_module("fibrank.rank")
 
 PELL = LucasParams(2, 1)
 
@@ -326,6 +331,69 @@ class TestGroupedSum:
         expected = Fraction(1, 6) - Fraction(1, 34) + Fraction(1, 10) + Fraction(3, 76) - Fraction(1, 30) + Fraction(1, 2001) - Fraction(5, 12)
         total = _exact_sum(items)
         assert (total.numerator, total.denominator) == (expected.numerator, expected.denominator)
+
+
+class TestRuns:
+    """The nodes added RUN at a time over one lcm (_runs, _run) give the very
+    node that merging them pairwise gives: every merge keeps the lcm of the
+    C and the product of the P."""
+
+    # distinct primes above 1000 for the P > 1, so each is prime to every other node
+    LARGE = [p for p in arith.primes_upto(3000) if p > 1000]
+
+    @classmethod
+    def random_nodes(cls, rng, length):
+        """length nodes: plain ones (n, 1, c), |n| up to 10^6, with c a product
+        of small primes, and about one in five with a large prime P."""
+        large = iter(cls.LARGE)
+        nodes = []
+        for _ in range(length):
+            n = rng.choice([-1, 1]) * rng.randint(2, 10**6)
+            c = math.prod(rng.choices([2, 3, 5, 7, 11, 13, 97], k=rng.randint(0, 6)))
+            if rng.random() < 0.2:
+                big = next(large)
+                nodes.append((n if n % big else n + 1, big, c))
+            else:
+                nodes.append((n, 1, c))
+        return nodes
+
+    @pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 31, 32, 33, 200])
+    def test_runs_give_the_pairwise_total_node(self, length):
+        rng = random.Random(length)
+        for _ in range(20):
+            nodes = self.random_nodes(rng, length)
+            total = _fold(_add_nodes, nodes, (0, 1, 1))
+            assert _fold(_add_nodes, _runs(iter(nodes)), (0, 1, 1)) == total
+            n, p, c = total
+            expected = Fraction(n, p * c)
+            assert expected == sum((Fraction(n, p * c) for n, p, c in nodes), Fraction(0))
+            got = _exact_sum(iter(nodes))
+            assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+    def test_grouped_nodes_match_the_pairwise_merge(self):
+        # each grouped prime's node, rebuilt by merging its terms one by one from
+        # the definition of the grouped primes (every z(q) factored)
+        nodes_seen = 0
+        for cache, k, depth, coprime_to_k in random_windows(random.Random(13), 20, 800):
+            window = _EllOfDK(cache, k, depth, 4 * depth, coprime_to_k, 1)
+            mu, avoid = window.mu, window.avoid
+            for lo, hi, signed in ((0, depth, True), (depth, 4 * depth, False)):
+                primes = arith.primes_upto(hi)
+                of_ranks = {q for r in primes if avoid % r for q, _ in arith._factor_items(_rank_with(cache, r).z)}
+                expected = []
+                for p in primes:
+                    if p <= max(hi // J, J) or window.ell_k % p == 0 or p in of_ranks:
+                        continue
+                    group = ((mu[d] if signed else 1, 1, window(d) // p) for d in range(p, hi + 1, p) if d > lo and mu[d] and math.gcd(d, avoid) == 1)
+                    n, _, c = functools.reduce(_add_nodes, group, (0, 1, 1))
+                    if n % p:
+                        expected.append((n, p, c))
+                    elif n:
+                        expected.append((n // p, 1, c))
+                items = list(_terms(window, lo, hi, signed))
+                assert items[: len(expected)] == expected, (cache.seq, k, depth, coprime_to_k, lo)
+                nodes_seen += len(expected)
+        assert nodes_seen > 300
 
 
 class TestDensityBkSeries:
@@ -621,6 +689,30 @@ class TestEllOfDK:
                     ell_dk(d)
             else:
                 assert ell_dk(d) == expected, (k, d)
+
+    @pytest.mark.parametrize("seq, ks", [(FIBONACCI, (1, 12)), (PELL, (1, 6)), (LucasParams(1, 2), (1, 15)), (LucasParams(3, -10), (1, 21))], ids=str)
+    def test_window_ranks_each_admitted_prime_once(self, monkeypatch, seq, ks):
+        # a window asks once for each prime p <= 4D prime to a2, the primes of k
+        # included, and ranks them as a fresh cache does through _factor_items
+        depth = 300
+        ref = RankCache(seq)
+        admitted = [p for p in arith.primes_upto(4 * depth) if math.gcd(p, seq.a2) == 1]
+        for name in ("_prime_rank_fib", "_prime_rank_lucas"):
+            real = getattr(rank_module, name)
+
+            def recording(cache, p, real=real, **kwargs):
+                asked.append((p, "factor" in kwargs))
+                return real(cache, p, **kwargs)
+
+            monkeypatch.setattr(rank_module, name, recording)
+        for k in ks:
+            asked = []
+            cache = RankCache(seq)
+            density_series(k, depth, cache)
+            assert sorted(p for p, _ in asked) == admitted, (seq, k)
+            # only the primes of k come from ell(k), before the window's pass
+            assert {p for p, by_window in asked if not by_window} == {p for p, _ in arith._factor_items(k)}
+            assert {p: cache._prime_z[p] for p in admitted} == {p: ref._prime_rank(ref, p) for p in admitted}
 
 
 class TestSharedPrimeWithA2:

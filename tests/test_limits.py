@@ -315,10 +315,10 @@ def test_no_public_path_asks_prime_rank_of_a_divisor_of_a2(seq, monkeypatch):
     asked = []
     real = rank_module._prime_rank_lucas
 
-    def guard(cache, p):
+    def guard(cache, p, **kwargs):
         assert math.gcd(p, cache.seq.a2) == 1, (cache.seq, p)
         asked.append(p)
-        return real(cache, p)
+        return real(cache, p, **kwargs)
 
     monkeypatch.setattr(rank_module, "_prime_rank_lucas", guard)
     cache = RankCache(seq)
